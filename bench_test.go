@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"eyeballas/internal/core"
-	"eyeballas/internal/experiments"
 	"eyeballas/internal/geo"
 	"eyeballas/internal/kde"
 	"eyeballas/internal/parallel"
@@ -33,7 +32,7 @@ var benchShared struct {
 func benchEnv(b *testing.B) *Experiments {
 	b.Helper()
 	benchShared.once.Do(func() {
-		benchShared.env, benchShared.err = NewSmallExperiments(42)
+		benchShared.env, benchShared.err = smallExperiments(42)
 	})
 	if benchShared.err != nil {
 		b.Fatal(benchShared.err)
@@ -257,7 +256,7 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildTargetDataset(w, uint64(i)); err != nil {
+		if _, err := buildDataset(w, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,7 +466,7 @@ func projectSamples(samples []core.Sample) []geo.XY {
 // measurement environment from scratch.
 func BenchmarkExperimentEnv(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NewEnv(uint64(i), experiments.ScaleSmall); err != nil {
+		if _, err := smallExperiments(uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,35 +69,45 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	defer obsFlags.Finish(stdout, stderr)
 
-	var env *eyeball.Experiments
+	// A world loaded with -world is conditioned at the default
+	// thresholds, whatever its size.
+	scale := eyeball.ScaleDefault
 	switch {
 	case *worldPath != "":
+	case *paper:
+		scale = eyeball.ScalePaper
+	case *small:
+		scale = eyeball.ScaleSmall
+	}
+	wcfg, cfg, err := eyeball.ScaleConfigs(scale, *seed)
+	if err != nil {
+		return err
+	}
+	var w *eyeball.World
+	if *worldPath != "" {
 		f, err2 := os.Open(*worldPath)
 		if err2 != nil {
 			return err2
 		}
-		w, err2 := eyeball.LoadWorld(f)
+		w, err = eyeball.LoadWorld(f)
 		f.Close()
-		if err2 != nil {
-			return err2
-		}
-		cfg := eyeball.DefaultPipelineConfig()
-		cfg.Obs = reg
-		cfg.Faults = plan
-		cfg.BatchSize = *batch
-		env, err = eyeball.NewExperimentsWithWorldCtx(ctx, w, *seed, cfg)
-	case *paper:
-		env, err = eyeball.NewPaperScaleExperimentsCtx(ctx, *seed, reg, plan, eyeball.WithBatchSize(*batch))
-	case *small:
-		env, err = eyeball.NewSmallExperimentsCtx(ctx, *seed, reg, plan, eyeball.WithBatchSize(*batch))
-	default:
-		env, err = eyeball.NewExperimentsCtx(ctx, *seed, reg, plan, eyeball.WithBatchSize(*batch))
+	} else {
+		genSpan := reg.StartSpan("experiments.generate_world")
+		w, err = eyeball.GenerateWorldWithConfig(wcfg)
+		genSpan.End()
 	}
 	if err != nil {
 		return err
 	}
+	cfg.Obs = reg
+	cfg.Faults = plan
+	cfg.BatchSize = *batch
+	env, err := eyeball.NewExperiments(ctx, w, *seed, cfg)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "environment: seed=%d, %d eligible ASes, %d usable peers, %d crawled peers\n\n",
-		*seed, len(env.Dataset.Order), env.Dataset.TotalPeers, len(env.Crawl.Peers))
+		*seed, len(env.Dataset.Order), env.Dataset.TotalPeers, env.Dataset.CrawledPeers)
 
 	want := func(name string) bool { return *expSel == "all" || *expSel == name }
 	var emitErr error

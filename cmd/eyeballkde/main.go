@@ -29,6 +29,7 @@ import (
 
 	"eyeballas"
 	"eyeballas/internal/faults"
+	"eyeballas/internal/kde"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
 )
@@ -78,12 +79,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var env *eyeball.Experiments
+	scale := eyeball.ScaleDefault
 	if *small {
-		env, err = eyeball.NewSmallExperimentsCtx(ctx, *seed, reg, plan, eyeball.WithBatchSize(*batch))
-	} else {
-		env, err = eyeball.NewExperimentsCtx(ctx, *seed, reg, plan, eyeball.WithBatchSize(*batch))
+		scale = eyeball.ScaleSmall
 	}
+	wcfg, cfg, err := eyeball.ScaleConfigs(scale, *seed)
+	if err != nil {
+		return err
+	}
+	genSpan := reg.StartSpan("experiments.generate_world")
+	w, err := eyeball.GenerateWorldWithConfig(wcfg)
+	genSpan.End()
+	if err != nil {
+		return err
+	}
+	cfg.Obs = reg
+	cfg.Faults = plan
+	cfg.BatchSize = *batch
+	env, err := eyeball.NewExperiments(ctx, w, *seed, cfg)
 	if err != nil {
 		return err
 	}
@@ -182,8 +195,11 @@ func parseBandwidths(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("invalid bandwidth %q", part)
+		}
+		if err := kde.CheckBandwidth(v); err != nil {
+			return nil, fmt.Errorf("-bw: %w", err)
 		}
 		out = append(out, v)
 	}

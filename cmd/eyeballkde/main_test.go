@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"eyeballas/internal/kde"
 )
 
 func TestRunDefaultSubject(t *testing.T) {
@@ -112,6 +114,20 @@ func TestRunBadInputs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := run(context.Background(), tc.args, io.Discard, io.Discard); err == nil {
 				t.Errorf("run(%q) accepted bad input", tc.args)
+			}
+		})
+	}
+}
+
+// TestRunBandwidthEnvelope: -bw values outside the finite KDE envelope
+// fail with the typed *kde.BandwidthError before any pipeline work.
+func TestRunBandwidthEnvelope(t *testing.T) {
+	for _, bw := range []string{"NaN", "+Inf", "-Inf", "0", "-1", "5000.0001", "1e9", "40,NaN"} {
+		t.Run(bw, func(t *testing.T) {
+			err := run(context.Background(), []string{"-small", "-seed", "5", "-bw=" + bw}, io.Discard, io.Discard)
+			var be *kde.BandwidthError
+			if !errors.As(err, &be) {
+				t.Errorf("-bw=%s: got %v, want a *kde.BandwidthError", bw, err)
 			}
 		})
 	}

@@ -10,7 +10,7 @@
 //	            [-footprint ASN] [-footprint-out fp.json] [-footprint-bw KM]
 //	            [-faults spec] [-fault-seed N] [-max-geo-miss F] [-max-origin-miss F]
 //	            [-single-db] [-single-db-fallback]
-//	            [-stream] [-batch N] [-as-sample-cap N]
+//	            [-batch N] [-as-sample-cap N]
 //	            [-quiet] [-metrics out.json|out.prom|-] [-trace] [-pprof :6060]
 //	            [-trace-out build-trace.json]
 //
@@ -19,9 +19,9 @@
 // renders one AS's PoP footprint with the same code path the server's
 // /v1/footprint endpoint uses, so the two outputs are byte-identical.
 //
-// -stream runs the bounded-memory ingestion path: the crawl is generated
-// unit by unit and fed straight into the pipeline, never materialized.
-// Output is bit-identical to the default path (CI diffs the two).
+// The crawl is generated unit by unit and streamed straight into the
+// pipeline, never materialized, in batches of -batch peers. Output is
+// bit-identical for every -batch (CI diffs them).
 //
 // SIGINT/SIGTERM cancel the run: the pipeline's workers stop within one
 // work unit, the process exits non-zero, and -metrics still writes a
@@ -40,6 +40,7 @@ import (
 
 	"eyeballas"
 	"eyeballas/internal/faults"
+	"eyeballas/internal/kde"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
 	"eyeballas/internal/serve"
@@ -71,7 +72,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	maxOriginMiss := fs.Float64("max-origin-miss", 0, "abort the build when the origin-lookup miss fraction exceeds this budget (0 disables)")
 	singleDB := fs.Bool("single-db", false, "run with the primary geolocation database only (no cross-database error estimates; dataset marked degraded)")
 	singleDBFallback := fs.Bool("single-db-fallback", false, "when exactly one database blows the geo budget, retry with the survivor instead of failing")
-	stream := fs.Bool("stream", false, "stream the crawl straight into the pipeline without materializing it (bounded memory; output is bit-identical to the default path)")
 	batch := fs.Int("batch", 0, "peers per streaming ingestion batch (0 = default; bounds transient memory only, output is identical for every setting)")
 	sampleCap := fs.Int("as-sample-cap", 0, "cap per-AS retained samples via a deterministic reservoir + quantile sketch (0 = keep all, exact statistics)")
 	snapPath := fs.String("snapshot", "", "write the built dataset + compiled LPM as a versioned binary serving artifact (eyeballas-snap/1) to this file")
@@ -84,6 +84,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	obsFlags := obs.BindCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Validate before the build, which takes seconds to minutes.
+	if err := kde.CheckBandwidth(*footprintBW); err != nil {
+		return fmt.Errorf("-footprint-bw: %w", err)
 	}
 	plan, err := faultFlags.Plan()
 	if err != nil {
@@ -145,13 +149,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		troot.SetInt("seed", int64(*seed))
 		ctx = trace.NewContext(ctx, troot)
 	}
-	var ds *eyeball.Dataset
-	var origins *eyeball.OriginTable
-	if *stream {
-		ds, origins, err = eyeball.BuildTargetDatasetStreamExportCtx(ctx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
-	} else {
-		ds, origins, err = eyeball.BuildTargetDatasetExportCtx(ctx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
-	}
+	ds, origins, err := eyeball.BuildTargetDataset(ctx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
 	if troot != nil {
 		troot.End()
 		f, ferr := os.Create(*traceOut)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"eyeballas"
+	"eyeballas/internal/kde"
 )
 
 func TestRunPipeline(t *testing.T) {
@@ -107,33 +108,38 @@ func TestRunFromSnapshot(t *testing.T) {
 	}
 }
 
-// TestRunStreamIdenticalToBatch: -stream must produce byte-identical
-// stdout to the default materialized path, for any -batch, with and
-// without fault injection — the CLI-level face of the bit-identity
-// guarantee the differential harness pins at the package level.
+// TestRunStreamIdenticalToBatch: the streamed build must produce
+// byte-identical stdout for every -batch, with and without fault
+// injection — the CLI-level face of the bit-identity guarantee the
+// differential harness pins at the package level. Each case compares
+// its reference run against the same arguments at other batch sizes.
 func TestRunStreamIdenticalToBatch(t *testing.T) {
+	faultArgs := []string{"-faults", "crawl-dup=0.05,geo-miss=0.05,origin-miss=0.05", "-fault-seed", "7"}
 	cases := []struct {
-		name   string
-		shared []string // args both runs get (fault plans must match)
-		stream []string // extra args for the streaming run only
+		name    string
+		shared  []string   // args every run gets (fault plans must match)
+		batches [][]string // -batch variants compared against the shared-args run
 	}{
-		{"default batch", nil, []string{"-stream"}},
-		{"batch 7", nil, []string{"-stream", "-batch", "7"}},
-		{"batch larger than crawl", nil, []string{"-stream", "-batch", "100000"}},
-		{"with faults", []string{"-faults", "geo-miss=0.05,crawl-dup=0.05", "-fault-seed", "7"}, []string{"-stream"}},
+		{"default batch", nil, [][]string{{"-batch", "0"}}},
+		{"batch 7", nil, [][]string{{"-batch", "7"}}},
+		{"batch larger than crawl", nil, [][]string{{"-batch", "100000"}}},
+		{"with faults", faultArgs, [][]string{{"-batch", "7"}, {"-batch", "100000"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := append([]string{"-small", "-seed", "5"}, tc.shared...)
-			var ref, got bytes.Buffer
+			var ref bytes.Buffer
 			if err := run(context.Background(), base, &ref, io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(context.Background(), append(append([]string{}, base...), tc.stream...), &got, io.Discard); err != nil {
-				t.Fatal(err)
-			}
-			if ref.String() != got.String() {
-				t.Errorf("-stream output differs from batch:\n--- batch ---\n%s\n--- stream ---\n%s", ref.String(), got.String())
+			for _, b := range tc.batches {
+				var got bytes.Buffer
+				if err := run(context.Background(), append(append([]string{}, base...), b...), &got, io.Discard); err != nil {
+					t.Fatal(err)
+				}
+				if ref.String() != got.String() {
+					t.Errorf("%v output differs from the default batch:\n--- default ---\n%s\n--- %v ---\n%s", b, ref.String(), b, got.String())
+				}
 			}
 		})
 	}
@@ -144,7 +150,7 @@ func TestRunStreamIdenticalToBatch(t *testing.T) {
 // retention, not eligibility, when generous).
 func TestRunSampleCap(t *testing.T) {
 	var capped bytes.Buffer
-	if err := run(context.Background(), []string{"-small", "-seed", "5", "-stream", "-as-sample-cap", "100000"}, &capped, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"-small", "-seed", "5", "-as-sample-cap", "100000"}, &capped, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var ref bytes.Buffer
@@ -183,6 +189,21 @@ func TestRunBadInputs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := run(context.Background(), tc.args, io.Discard, io.Discard); err == nil {
 				t.Errorf("run(%q) accepted bad input", tc.args)
+			}
+		})
+	}
+}
+
+// TestRunFootprintBandwidthEnvelope: -footprint-bw values outside the
+// finite KDE envelope fail with the typed *kde.BandwidthError before the
+// build starts.
+func TestRunFootprintBandwidthEnvelope(t *testing.T) {
+	for _, bw := range []string{"NaN", "+Inf", "-Inf", "0", "-1", "5000.0001", "1e9"} {
+		t.Run(bw, func(t *testing.T) {
+			err := run(context.Background(), []string{"-small", "-seed", "5", "-footprint", "254", "-footprint-bw=" + bw}, io.Discard, io.Discard)
+			var be *kde.BandwidthError
+			if !errors.As(err, &be) {
+				t.Errorf("-footprint-bw=%s: got %v, want a *kde.BandwidthError", bw, err)
 			}
 		})
 	}

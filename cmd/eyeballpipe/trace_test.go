@@ -27,8 +27,9 @@ type traceNode struct {
 }
 
 // TestTraceOut: one offline build emits a parseable canonical trace —
-// the eyeballpipe.build root over pipeline.run with crawl, origin-table,
-// and build stages — and the trace ID derives from -seed.
+// the eyeballpipe.build root over pipeline.run with origin-table and
+// build stages, the streamed crawl counted on the build's locate
+// stage — and the trace ID derives from -seed.
 func TestTraceOut(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "build-trace.json")
 	var stderr bytes.Buffer
@@ -67,11 +68,8 @@ func TestTraceOut(t *testing.T) {
 	for _, c := range d.Root.Children[0].Children {
 		stages = append(stages, c.Name)
 	}
-	joined := strings.Join(stages, ",")
-	for _, want := range []string{"crawl", "bgp.origin_table", "pipeline.build"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("pipeline.run stages %v lack %q", stages, want)
-		}
+	if joined := strings.Join(stages, ","); joined != "bgp.origin_table,pipeline.build" {
+		t.Errorf("pipeline.run stages = %v, want [bgp.origin_table pipeline.build]", stages)
 	}
 	if !strings.Contains(stderr.String(), "wrote build trace") {
 		t.Errorf("stderr lacks trace summary: %q", stderr.String())

@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"eyeballas/internal/faults"
+	"eyeballas/internal/kde"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/serve"
 	"eyeballas/internal/trace"
@@ -139,6 +140,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *snapPath == "" {
 		return errors.New("-snap is required")
+	}
+	if err := kde.CheckBandwidth(*bw); err != nil {
+		return fmt.Errorf("-bw: %w", err)
 	}
 	logger, err := newLogger(*logFormat, stderr)
 	if err != nil {

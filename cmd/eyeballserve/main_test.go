@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"eyeballas/internal/core"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
+	"eyeballas/internal/kde"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/p2p"
 	"eyeballas/internal/pipeline"
@@ -61,6 +64,20 @@ func TestRunRequiresSnapFlag(t *testing.T) {
 	err := run(context.Background(), nil, &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "-snap is required") {
 		t.Fatalf("err = %v, want -snap is required", err)
+	}
+}
+
+// TestRunBandwidthEnvelope: a default -bw outside the finite KDE
+// envelope fails at startup with the typed *kde.BandwidthError, before
+// the snapshot is read, instead of failing every default-bandwidth
+// footprint request.
+func TestRunBandwidthEnvelope(t *testing.T) {
+	for _, bw := range []string{"NaN", "+Inf", "-Inf", "0", "-1", "5000.0001", "1e9"} {
+		err := run(context.Background(), []string{"-snap", t.TempDir() + "/absent.snap", "-bw=" + bw}, io.Discard, io.Discard)
+		var be *kde.BandwidthError
+		if !errors.As(err, &be) {
+			t.Errorf("-bw=%s: got %v, want a *kde.BandwidthError", bw, err)
+		}
 	}
 }
 

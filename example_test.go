@@ -1,6 +1,7 @@
 package eyeball_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,8 @@ func ExampleEstimateFootprint() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds, err := eyeball.BuildTargetDataset(w, 42)
+	ds, _, err := eyeball.BuildTargetDataset(context.Background(), w,
+		eyeball.DefaultCrawlConfig(), eyeball.DefaultPipelineConfig(), 42)
 	if err != nil {
 		log.Fatal(err)
 	}

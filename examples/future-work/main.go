@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,17 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	env, err := eyeball.NewSmallExperiments(42)
+	// The test-scale world (~60 eyeball ASes) and its measurement
+	// environment.
+	wcfg, pcfg, err := eyeball.ScaleConfigs(eyeball.ScaleSmall, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
+	world, err := eyeball.GenerateWorldWithConfig(wcfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	env, err := eyeball.NewExperiments(context.Background(), world, 42, pcfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,8 @@ func main() {
 	// 2. The paper's §2 pipeline: crawl three P2P systems, geolocate
 	//    every peer with two databases, group by AS via BGP tables, and
 	//    condition (error and size filters).
-	dataset, err := eyeball.BuildTargetDataset(world, 42)
+	dataset, _, err := eyeball.BuildTargetDataset(context.Background(), world,
+		eyeball.DefaultCrawlConfig(), eyeball.DefaultPipelineConfig(), 42)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,88 +60,37 @@ type (
 	DegradationResult = experiments.Degradation
 )
 
-// NewExperiments generates the full-scale experimental environment
-// (world, crawls, geolocation, BGP, reference lists, IXP data,
-// traceroutes) from one seed.
-func NewExperiments(seed uint64) (*Experiments, error) {
-	return experiments.NewEnv(seed, experiments.ScaleDefault)
+// Scale selects a world-size preset for ScaleConfigs.
+type Scale = experiments.Scale
+
+// World-size presets.
+const (
+	// ScaleSmall is the test scale: ~60 eyeball ASes.
+	ScaleSmall = experiments.ScaleSmall
+	// ScaleDefault is the full experiment scale: ~650 eyeball ASes.
+	ScaleDefault = experiments.ScaleDefault
+	// ScalePaper is the paper's population: 1233 eyeball ASes and the
+	// literal 1000-peer floor; runs take minutes.
+	ScalePaper = experiments.ScalePaper
+)
+
+// ScaleConfigs returns the world-generation and conditioning
+// configurations of a scale preset; generate the world with
+// GenerateWorldWithConfig and pass both to NewExperiments.
+func ScaleConfigs(scale Scale, seed uint64) (WorldConfig, PipelineConfig, error) {
+	return experiments.ScaleConfigs(scale, seed)
 }
 
-// NewSmallExperiments is NewExperiments at test scale.
-func NewSmallExperiments(seed uint64) (*Experiments, error) {
-	return experiments.NewEnv(seed, experiments.ScaleSmall)
-}
-
-// NewExperimentsObs is NewExperiments with an observability registry
-// threaded through every stage (crawl metrics, pipeline funnel, BGP and
-// KDE instrumentation, per-dataset build spans). A nil registry is the
-// disabled state; the environment is identical either way.
-func NewExperimentsObs(seed uint64, reg *Registry) (*Experiments, error) {
-	return experiments.NewEnvObs(seed, experiments.ScaleDefault, reg)
-}
-
-// NewSmallExperimentsObs is NewExperimentsObs at test scale.
-func NewSmallExperimentsObs(seed uint64, reg *Registry) (*Experiments, error) {
-	return experiments.NewEnvObs(seed, experiments.ScaleSmall, reg)
-}
-
-// NewPaperScaleExperiments is NewExperiments at the paper's population
-// (1233 eyeball ASes, the literal 1000-peer floor); runs take minutes.
-func NewPaperScaleExperiments(seed uint64) (*Experiments, error) {
-	return experiments.NewPaperScaleEnv(seed)
-}
-
-// NewPaperScaleExperimentsObs is NewPaperScaleExperiments with an
-// observability registry.
-func NewPaperScaleExperimentsObs(seed uint64, reg *Registry) (*Experiments, error) {
-	return experiments.NewPaperScaleEnvObs(seed, reg)
-}
-
-// NewExperimentsWithWorld builds the environment over an existing world
-// (e.g. one loaded from a snapshot with LoadWorld).
-func NewExperimentsWithWorld(w *World, seed uint64, cfg PipelineConfig) (*Experiments, error) {
-	return experiments.NewEnvWithWorld(w, seed, cfg)
-}
-
-// NewExperimentsCtx is NewExperimentsObs with a cancellation context —
-// every worker pool, crawl, and pipeline rebuild the experiments launch
-// observes it (nil means context.Background()) — and an optional
-// fault-injection plan threaded into the pipeline build. A nil plan is
-// the unfaulted, bit-identical default.
-func NewExperimentsCtx(ctx context.Context, seed uint64, reg *Registry, plan *FaultPlan, opts ...ExperimentsOption) (*Experiments, error) {
-	return experiments.NewEnvCtx(ctx, seed, experiments.ScaleDefault, reg, plan, opts...)
-}
-
-// NewSmallExperimentsCtx is NewExperimentsCtx at test scale.
-func NewSmallExperimentsCtx(ctx context.Context, seed uint64, reg *Registry, plan *FaultPlan, opts ...ExperimentsOption) (*Experiments, error) {
-	return experiments.NewEnvCtx(ctx, seed, experiments.ScaleSmall, reg, plan, opts...)
-}
-
-// NewPaperScaleExperimentsCtx is NewExperimentsCtx at the paper's
-// population.
-func NewPaperScaleExperimentsCtx(ctx context.Context, seed uint64, reg *Registry, plan *FaultPlan, opts ...ExperimentsOption) (*Experiments, error) {
-	return experiments.NewPaperScaleEnvCtx(ctx, seed, reg, plan, opts...)
-}
-
-// ExperimentsOption adjusts the pipeline configuration an experiments
-// environment is built with.
-type ExperimentsOption = experiments.EnvOption
-
-// WithBatchSize sets the streaming ingestion batch size for the
-// environment's pipeline build (bit-identical output for every setting;
-// the knob bounds transient memory only).
-func WithBatchSize(n int) ExperimentsOption { return experiments.WithBatchSize(n) }
-
-// WithMaxSamplesPerAS caps per-AS sample retention in the environment's
-// pipeline build (deterministic reservoir + quantile sketch; 0 keeps
-// every sample).
-func WithMaxSamplesPerAS(n int) ExperimentsOption { return experiments.WithMaxSamplesPerAS(n) }
-
-// NewExperimentsWithWorldCtx is NewExperimentsWithWorld with a
-// cancellation context stored on the environment. Fault injection is
-// configured through cfg.Faults.
-func NewExperimentsWithWorldCtx(ctx context.Context, w *World, seed uint64, cfg PipelineConfig) (*Experiments, error) {
-	return experiments.NewEnvWithWorldCtx(ctx, w, seed, cfg)
+// NewExperiments builds the experimental environment over a world
+// (crawls, geolocation, BGP, reference lists, IXP data, traceroutes),
+// all derived from seed. cfg carries the conditioning thresholds and
+// the pipeline's registry (Obs), fault plan (Faults) and ingestion
+// knobs; nil Obs and Faults are the disabled, bit-identical defaults.
+// ctx is stored on the environment: every worker pool, crawl and
+// pipeline rebuild the experiments launch observes it (nil means
+// context.Background()).
+func NewExperiments(ctx context.Context, w *World, seed uint64, cfg PipelineConfig) (*Experiments, error) {
+	return experiments.NewEnv(ctx, w, seed, cfg)
 }
 
 // RunTable1 profiles the target dataset (paper Table 1).

@@ -17,11 +17,21 @@
 //
 // Typical use:
 //
-//	w, err := eyeball.GenerateWorld(42)           // synthetic Internet
-//	ds, err := eyeball.BuildTargetDataset(w, 42)  // crawl + geolocate + group + filter
-//	rec := ds.Records()[0]                        // one eyeball AS
+//	w, err := eyeball.GenerateWorld(42) // synthetic Internet
+//	// crawl + geolocate + group + filter
+//	ds, _, err := eyeball.BuildTargetDataset(ctx, w,
+//		eyeball.DefaultCrawlConfig(), eyeball.DefaultPipelineConfig(), 42)
+//	rec := ds.Records()[0] // one eyeball AS
 //	fp, err := eyeball.EstimateFootprint(w, rec.Samples, eyeball.FootprintOptions{})
-//	fmt.Println(fp.CityList())                    // "[Milan (.130), Rome (.122), …]"
+//	fmt.Println(fp.CityList()) // "[Milan (.130), Rome (.122), …]"
+//
+// The paper's tables and figures run over one experiments environment,
+// built from a scale preset:
+//
+//	wcfg, pcfg, err := eyeball.ScaleConfigs(eyeball.ScaleDefault, 42)
+//	w, err := eyeball.GenerateWorldWithConfig(wcfg)
+//	env, err := eyeball.NewExperiments(ctx, w, 42, pcfg)
+//	fmt.Print(eyeball.RunTable1(env).Render())
 package eyeball
 
 import (
@@ -35,6 +45,7 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
+	"eyeballas/internal/kde"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/p2p"
 	"eyeballas/internal/pipeline"
@@ -102,6 +113,10 @@ type (
 	// measurement inputs reproducibly. A nil plan disables injection and
 	// is bit-identical to running without one.
 	FaultPlan = faults.Plan
+	// BandwidthError reports a kernel bandwidth outside the finite
+	// (0, 5000] km envelope; EstimateFootprint and the footprint
+	// endpoints return it (wrapped), detect it with errors.As.
+	BandwidthError = kde.BandwidthError
 	// BudgetError reports a pipeline build aborted because a stage's
 	// error budget was exceeded (PipelineConfig.MaxGeoMissFrac /
 	// MaxOriginMissFrac); detect it with errors.As.
@@ -148,41 +163,23 @@ func GenerateWorldWithConfig(cfg WorldConfig) (*World, error) {
 }
 
 // BuildTargetDataset runs the paper's four-step methodology over the
-// world with default parameters: simulate the three P2P crawls, geolocate
-// every peer with two synthetic databases, group peers by AS via
-// synthetic BGP tables, and condition with the §2/§3.1 filters.
-func BuildTargetDataset(w *World, seed uint64) (*Dataset, error) {
-	ds, _, err := pipeline.Run(context.Background(), w, p2p.DefaultConfig(), pipeline.DefaultConfig(), seed)
-	return ds, err
-}
-
-// BuildTargetDatasetWithConfig is BuildTargetDataset with explicit crawl
-// and conditioning parameters.
-func BuildTargetDatasetWithConfig(w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, error) {
-	ds, _, err := pipeline.Run(context.Background(), w, crawlCfg, cfg, seed)
-	return ds, err
-}
-
-// BuildTargetDatasetCtx is BuildTargetDatasetWithConfig with a
-// cancellation context: crawl, geolocation workers, and conditioning all
-// stop within one work unit of ctx being cancelled, returning ctx.Err().
-func BuildTargetDatasetCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, error) {
-	ds, _, err := pipeline.Run(ctx, w, crawlCfg, cfg, seed)
-	return ds, err
-}
-
-// BuildTargetDatasetStreamCtx is BuildTargetDatasetCtx on the streaming
-// ingestion engine: the crawl is generated unit by unit and fed straight
-// into the pipeline, so no peer slice is ever materialized and peak
-// memory is bounded by the kept users (plus cfg.BatchSize transient
-// state), not the crawl size. The dataset is bit-identical to
-// BuildTargetDatasetCtx's for the same inputs.
-func BuildTargetDatasetStreamCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, error) {
-	return pipeline.RunStream(ctx, w, crawlCfg, cfg, seed)
+// world: simulate the three P2P crawls, geolocate every peer with two
+// synthetic databases, group peers by AS via synthetic BGP tables, and
+// condition with the §2/§3.1 filters. The crawl is streamed into the
+// pipeline, never materialized, so peak memory is bounded by the kept
+// users (plus cfg.BatchSize transient state), not the crawl size.
+//
+// It also returns the origin table the build resolved peers against —
+// what WriteDatasetSnapshot needs to produce a serving artifact carrying
+// the exact LPM the dataset was conditioned with. ctx cancels the
+// crawl, the geolocation workers and conditioning within one work unit,
+// returning ctx.Err() (nil means context.Background()).
+func BuildTargetDataset(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, *OriginTable, error) {
+	return pipeline.Run(ctx, w, crawlCfg, cfg, seed)
 }
 
 // CrawlPeerSource returns the replayable streaming source of the three
-// simulated crawls — the same peer sequence BuildTargetDataset* consume
+// simulated crawls — the same peer sequence BuildTargetDataset consumes
 // for this (world, crawlCfg, seed) — for callers that want to pump peers
 // through pipeline ingestion or export themselves.
 func CrawlPeerSource(w *World, crawlCfg CrawlConfig, seed uint64) PeerSource {
@@ -198,14 +195,14 @@ func WriteCrawlPeers(ctx context.Context, out io.Writer, w *World, crawlCfg Craw
 }
 
 // PeerFileSource reads a peers file written by WriteCrawlPeers; feed it
-// to BuildTargetDatasetFromSourceCtx to run the pipeline over
+// to BuildTargetDatasetFromSource to run the pipeline over
 // pre-crawled data at bounded memory.
 func PeerFileSource(path string) PeerSource { return p2p.FileSource(path) }
 
-// BuildTargetDatasetFromSourceCtx runs pipeline steps 2–4 over an
+// BuildTargetDatasetFromSource runs pipeline steps 2–4 over an
 // arbitrary replayable peer source against the world's databases and BGP
-// tables — the fully streaming Build entry point.
-func BuildTargetDatasetFromSourceCtx(ctx context.Context, w *World, src PeerSource, cfg PipelineConfig) (*Dataset, error) {
+// tables.
+func BuildTargetDatasetFromSource(ctx context.Context, w *World, src PeerSource, cfg PipelineConfig) (*Dataset, error) {
 	return pipeline.BuildFromSource(ctx, w, src, cfg)
 }
 
@@ -290,21 +287,6 @@ type DatasetSnapshot = snapshot.Snapshot
 // SnapshotMeta is a snapshot artifact's provenance record (seed +
 // label; deliberately no timestamps, so artifacts are byte-stable).
 type SnapshotMeta = snapshot.Meta
-
-// BuildTargetDatasetExportCtx is BuildTargetDatasetCtx plus the origin
-// table the build resolved peers against — the inputs WriteDatasetSnapshot
-// needs to produce a serving artifact carrying the exact LPM the dataset
-// was conditioned with.
-func BuildTargetDatasetExportCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, *OriginTable, error) {
-	ds, _, origins, err := pipeline.RunExport(ctx, w, crawlCfg, cfg, seed)
-	return ds, origins, err
-}
-
-// BuildTargetDatasetStreamExportCtx is the streaming counterpart of
-// BuildTargetDatasetExportCtx (bounded memory, bit-identical dataset).
-func BuildTargetDatasetStreamExportCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, *OriginTable, error) {
-	return pipeline.RunStreamExport(ctx, w, crawlCfg, cfg, seed)
-}
 
 // WriteDatasetSnapshot serializes a snapshot artifact. The bytes are a
 // pure function of the contents: the same dataset and origin table

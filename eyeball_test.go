@@ -2,10 +2,33 @@ package eyeball
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// buildDataset runs the pipeline over w at default crawl and
+// conditioning parameters.
+func buildDataset(w *World, seed uint64) (*Dataset, error) {
+	ds, _, err := BuildTargetDataset(context.Background(), w, DefaultCrawlConfig(), DefaultPipelineConfig(), seed)
+	return ds, err
+}
+
+// smallExperiments builds the test-scale experiments environment.
+func smallExperiments(seed uint64) (*Experiments, error) {
+	wcfg, pcfg, err := ScaleConfigs(ScaleSmall, seed)
+	if err != nil {
+		return nil, err
+	}
+	w, err := GenerateWorldWithConfig(wcfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewExperiments(context.Background(), w, seed, pcfg)
+}
 
 var apiShared struct {
 	once sync.Once
@@ -22,7 +45,7 @@ func apiSetup(t *testing.T) (*World, *Dataset) {
 			apiShared.err = err
 			return
 		}
-		ds, err := BuildTargetDataset(w, 7)
+		ds, err := buildDataset(w, 7)
 		if err != nil {
 			apiShared.err = err
 			return
@@ -60,6 +83,21 @@ func TestPublicWorkflow(t *testing.T) {
 	}
 }
 
+// TestEstimateFootprintBandwidthEnvelope: a bandwidth outside the
+// finite (0, 5000] km envelope surfaces as a typed *BandwidthError;
+// zero still selects the paper's 40 km default.
+func TestEstimateFootprintBandwidthEnvelope(t *testing.T) {
+	w, ds := apiSetup(t)
+	rec := ds.Records()[0]
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 5000.0001, 1e9} {
+		_, err := EstimateFootprint(w, rec.Samples, FootprintOptions{BandwidthKm: bw})
+		var be *BandwidthError
+		if !errors.As(err, &be) {
+			t.Errorf("bw=%v: got %v, want a *BandwidthError", bw, err)
+		}
+	}
+}
+
 func TestPublicMatch(t *testing.T) {
 	w, ds := apiSetup(t)
 	rec := ds.Records()[0]
@@ -93,7 +131,7 @@ func TestPublicConfigs(t *testing.T) {
 }
 
 func TestPublicExperiments(t *testing.T) {
-	env, err := NewSmallExperiments(7)
+	env, err := smallExperiments(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +169,7 @@ func TestPublicSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("public snapshot round trip lost data")
 	}
 	// A dataset built over the reloaded world matches the original.
-	ds2, err := BuildTargetDataset(w2, 7)
+	ds2, err := buildDataset(w2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

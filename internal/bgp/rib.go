@@ -241,7 +241,7 @@ func headerField(line, key string) string {
 // parsed foreign table might), the first vantage wins.
 //
 // At the paper's scale OriginOf answers 89.1M lookups (one per crawled
-// peer), making it the hottest scalar call in pipeline.Build — so the
+// peer), making it the hottest scalar call in pipeline.BuildStream — so the
 // merged trie is frozen into its compiled flat form once at construction
 // and every lookup runs allocation-free against that.
 type OriginTable struct {

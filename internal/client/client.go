@@ -227,7 +227,7 @@ func (c *Client) Lookup(ctx context.Context, ip string) (*LookupResult, error) {
 }
 
 // MaxBandwidthKm mirrors the server's bandwidth ceiling
-// (serve.MaxBandwidthKm — a test pins the two constants equal): a
+// (kde.MaxBandwidthKm — a test pins the two constants equal): a
 // ?bw= outside (0, MaxBandwidthKm] would only earn a 400 from the
 // server, so the client rejects it before the wire. NaN and ±Inf fail
 // the same envelope — this client used to happily format ?bw=+Inf.

@@ -11,15 +11,15 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"eyeballas/internal/serve"
+	"eyeballas/internal/kde"
 )
 
 // TestMaxBandwidthMirrorsServer pins the client's bandwidth ceiling to
 // the server's: the client-side guard exists to reject requests the
 // server would 400, so the two constants must never drift.
 func TestMaxBandwidthMirrorsServer(t *testing.T) {
-	if MaxBandwidthKm != serve.MaxBandwidthKm {
-		t.Fatalf("client.MaxBandwidthKm = %d, serve.MaxBandwidthKm = %d; the envelopes must match", MaxBandwidthKm, serve.MaxBandwidthKm)
+	if MaxBandwidthKm != kde.MaxBandwidthKm {
+		t.Fatalf("client.MaxBandwidthKm = %d, kde.MaxBandwidthKm = %d; the envelopes must match", MaxBandwidthKm, kde.MaxBandwidthKm)
 	}
 }
 

@@ -58,8 +58,11 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// withDefaults fills zero fields. A non-zero BandwidthKm is passed on
+// as given, so one outside the KDE's envelope fails there with a
+// *kde.BandwidthError instead of silently becoming the default.
 func (o Options) withDefaults() Options {
-	if o.BandwidthKm <= 0 {
+	if o.BandwidthKm == 0 {
 		o.BandwidthKm = kde.CityLevelBandwidthKm
 	}
 	if o.Alpha <= 0 {

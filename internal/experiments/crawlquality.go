@@ -56,14 +56,14 @@ func RunCrawlQuality(env *Env, scales []float64) (*CrawlQuality, error) {
 		}
 		crawlCfg := p2p.DefaultConfig()
 		crawlCfg.Scale *= scale
-		ds, crawl, err := pipeline.Run(env.ctx(), env.World, crawlCfg, pipeCfg, env.Seed+7777)
+		ds, _, err := pipeline.Run(env.ctx(), env.World, crawlCfg, pipeCfg, env.Seed+7777)
 		if err != nil {
 			return nil, err
 		}
 		datasets[si] = ds
 		out.Rows = append(out.Rows, CrawlQualityRow{
 			Scale:        scale,
-			CrawledPeers: len(crawl.Peers),
+			CrawledPeers: ds.CrawledPeers,
 			EligibleASes: len(ds.Order),
 			UsablePeers:  ds.TotalPeers,
 		})

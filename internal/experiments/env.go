@@ -11,9 +11,7 @@ import (
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/bgp"
-	"eyeballas/internal/faults"
 	"eyeballas/internal/ixp"
-	"eyeballas/internal/obs"
 	"eyeballas/internal/p2p"
 	"eyeballas/internal/pipeline"
 	"eyeballas/internal/refdata"
@@ -21,7 +19,7 @@ import (
 	"eyeballas/internal/traceroute"
 )
 
-// Scale selects the world size.
+// Scale selects a world-size preset (see ScaleConfigs).
 type Scale int
 
 // Available scales.
@@ -31,7 +29,28 @@ const (
 	// ScaleDefault is the full experiment scale: ~650 eyeball ASes,
 	// the paper's 1233 shrunk to keep a laptop run in seconds.
 	ScaleDefault
+	// ScalePaper is the paper's population: 1233 eyeball ASes and the
+	// literal 1000-peer floor. A full run takes a few minutes and
+	// several GB.
+	ScalePaper
 )
+
+// ScaleConfigs returns the world-generation and conditioning
+// configurations of a scale preset. The small preset lowers the per-AS
+// peer floor to 60 to match its smaller crawl.
+func ScaleConfigs(scale Scale, seed uint64) (astopo.Config, pipeline.Config, error) {
+	switch scale {
+	case ScaleSmall:
+		cfg := pipeline.DefaultConfig()
+		cfg.MinPeers = 60
+		return astopo.SmallConfig(seed), cfg, nil
+	case ScaleDefault:
+		return astopo.DefaultConfig(seed), pipeline.DefaultConfig(), nil
+	case ScalePaper:
+		return astopo.PaperConfig(seed), pipeline.PaperConfig(), nil
+	}
+	return astopo.Config{}, pipeline.Config{}, fmt.Errorf("experiments: unknown scale %d", scale)
+}
 
 // Env bundles the world and every measurement dataset the experiments
 // consume, generated once from a single seed.
@@ -39,7 +58,6 @@ type Env struct {
 	Seed      uint64
 	World     *astopo.World
 	Routing   *bgp.Routing
-	Crawl     *p2p.Crawl
 	Dataset   *pipeline.Dataset
 	Reference *refdata.Reference
 	IXPData   *ixp.Dataset
@@ -62,112 +80,15 @@ func (e *Env) ctx() context.Context {
 	return context.Background()
 }
 
-// EnvOption adjusts the pipeline configuration an environment is built
-// with — the hook the CLIs use to surface streaming-ingestion knobs
-// without growing every constructor's signature.
-type EnvOption func(*pipeline.Config)
-
-// WithBatchSize sets the streaming ingestion batch size (pipeline
-// Config.BatchSize); <= 0 keeps the default. Datasets are bit-identical
-// for every setting — the knob bounds transient memory only.
-func WithBatchSize(n int) EnvOption {
-	return func(c *pipeline.Config) { c.BatchSize = n }
-}
-
-// WithMaxSamplesPerAS caps per-AS sample retention (pipeline
-// Config.MaxSamplesPerAS): reservoir samples plus sketch-backed P90
-// statistics at bounded memory. 0 keeps every sample.
-func WithMaxSamplesPerAS(n int) EnvOption {
-	return func(c *pipeline.Config) { c.MaxSamplesPerAS = n }
-}
-
-// NewEnv generates the full experimental environment.
-func NewEnv(seed uint64, scale Scale) (*Env, error) {
-	return NewEnvObs(seed, scale, nil)
-}
-
-// NewEnvObs is NewEnv with an observability registry threaded through
-// every stage (world generation span, crawl/pipeline metrics and funnel,
-// per-dataset build spans). A nil registry is the disabled state and
-// changes nothing about the generated environment.
-func NewEnvObs(seed uint64, scale Scale, reg *obs.Registry) (*Env, error) {
-	return NewEnvCtx(nil, seed, scale, reg, nil)
-}
-
-// NewEnvCtx is NewEnvObs with a cancellation context stored on the
-// environment — every worker pool, crawl, and pipeline rebuild the
-// experiments launch observes it (nil means context.Background()) —
-// and an optional fault-injection plan threaded into the pipeline
-// build. A nil plan is the unfaulted, bit-identical default.
-func NewEnvCtx(ctx context.Context, seed uint64, scale Scale, reg *obs.Registry, plan *faults.Plan, opts ...EnvOption) (*Env, error) {
-	var cfg astopo.Config
-	var pipeCfg pipeline.Config
-	switch scale {
-	case ScaleSmall:
-		cfg = astopo.SmallConfig(seed)
-		pipeCfg = pipeline.DefaultConfig()
-		pipeCfg.MinPeers = 60
-	case ScaleDefault:
-		cfg = astopo.DefaultConfig(seed)
-		pipeCfg = pipeline.DefaultConfig()
-	default:
-		return nil, fmt.Errorf("experiments: unknown scale %d", scale)
-	}
-	pipeCfg.Obs = reg
-	pipeCfg.Faults = plan
-	for _, opt := range opts {
-		opt(&pipeCfg)
-	}
-	genSpan := reg.StartSpan("experiments.generate_world")
-	w, err := astopo.Generate(cfg)
-	genSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	return NewEnvWithWorldCtx(ctx, w, seed, pipeCfg)
-}
-
-// NewPaperScaleEnv generates the environment at the paper's population
-// (1233 eyeball ASes, the literal 1000-peer floor). A full run takes a
-// few minutes and several GB.
-func NewPaperScaleEnv(seed uint64) (*Env, error) {
-	return NewPaperScaleEnvObs(seed, nil)
-}
-
-// NewPaperScaleEnvObs is NewPaperScaleEnv with an observability
-// registry.
-func NewPaperScaleEnvObs(seed uint64, reg *obs.Registry) (*Env, error) {
-	return NewPaperScaleEnvCtx(nil, seed, reg, nil)
-}
-
-// NewPaperScaleEnvCtx is NewPaperScaleEnvObs with a cancellation
-// context stored on the environment and an optional fault plan.
-func NewPaperScaleEnvCtx(ctx context.Context, seed uint64, reg *obs.Registry, plan *faults.Plan, opts ...EnvOption) (*Env, error) {
-	genSpan := reg.StartSpan("experiments.generate_world")
-	w, err := astopo.Generate(astopo.PaperConfig(seed))
-	genSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	pipeCfg := pipeline.PaperConfig()
-	pipeCfg.Obs = reg
-	pipeCfg.Faults = plan
-	for _, opt := range opts {
-		opt(&pipeCfg)
-	}
-	return NewEnvWithWorldCtx(ctx, w, seed, pipeCfg)
-}
-
-// NewEnvWithWorld builds the measurement environment over an existing
-// world — typically one loaded from a snapshot — with explicit
-// conditioning thresholds.
-func NewEnvWithWorld(w *astopo.World, seed uint64, pipeCfg pipeline.Config) (*Env, error) {
-	return NewEnvWithWorldCtx(nil, w, seed, pipeCfg)
-}
-
-// NewEnvWithWorldCtx is NewEnvWithWorld with a cancellation context
-// stored on the environment (nil means context.Background()).
-func NewEnvWithWorldCtx(ctx context.Context, w *astopo.World, seed uint64, pipeCfg pipeline.Config) (*Env, error) {
+// NewEnv builds the measurement environment over a world — generated
+// from a ScaleConfigs preset or loaded from a snapshot: the crawl and
+// conditioned dataset, reference PoP lists, IXP data and traceroutes,
+// all derived from seed. pipeCfg carries the conditioning thresholds,
+// the observability registry (Obs), the fault plan (Faults) and the
+// ingestion knobs. ctx is stored on the environment, so every worker
+// pool, crawl and pipeline rebuild the experiments launch observes it
+// (nil means context.Background()).
+func NewEnv(ctx context.Context, w *astopo.World, seed uint64, pipeCfg pipeline.Config) (*Env, error) {
 	reg := pipeCfg.Obs
 	span := reg.StartSpan("experiments.env")
 	defer span.End()
@@ -176,7 +97,7 @@ func NewEnvWithWorldCtx(ctx context.Context, w *astopo.World, seed uint64, pipeC
 	env.Routing = bgp.ComputeRouting(w)
 	routingSpan.End()
 	var err error
-	env.Dataset, env.Crawl, err = pipeline.Run(env.ctx(), w, p2p.DefaultConfig(), pipeCfg, seed)
+	env.Dataset, _, err = pipeline.Run(env.ctx(), w, p2p.DefaultConfig(), pipeCfg, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -16,10 +16,24 @@ var shared struct {
 	err  error
 }
 
+// newScaleEnv generates a preset-scale world and builds its
+// environment.
+func newScaleEnv(seed uint64, scale Scale) (*Env, error) {
+	wcfg, pcfg, err := ScaleConfigs(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	w, err := astopo.Generate(wcfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewEnv(nil, w, seed, pcfg)
+}
+
 func sharedEnv(t *testing.T) *Env {
 	t.Helper()
 	shared.once.Do(func() {
-		shared.env, shared.err = NewEnv(111, ScaleSmall)
+		shared.env, shared.err = newScaleEnv(111, ScaleSmall)
 	})
 	if shared.err != nil {
 		t.Fatal(shared.err)
@@ -29,7 +43,7 @@ func sharedEnv(t *testing.T) *Env {
 
 func TestNewEnvComplete(t *testing.T) {
 	env := sharedEnv(t)
-	if env.World == nil || env.Routing == nil || env.Crawl == nil ||
+	if env.World == nil || env.Routing == nil ||
 		env.Dataset == nil || env.Reference == nil || env.IXPData == nil {
 		t.Fatal("environment incomplete")
 	}
@@ -38,6 +52,9 @@ func TestNewEnvComplete(t *testing.T) {
 	}
 	if len(env.Dataset.Order) == 0 {
 		t.Fatal("empty target dataset")
+	}
+	if env.Dataset.CrawledPeers <= env.Dataset.TotalPeers {
+		t.Fatalf("crawl of %d peers not larger than the %d usable ones", env.Dataset.CrawledPeers, env.Dataset.TotalPeers)
 	}
 }
 
@@ -227,8 +244,10 @@ func TestCaseStudy(t *testing.T) {
 	}
 }
 
+// TestNewEnvBadScale: an unknown scale preset is an error, not a zero
+// configuration handed on to world generation.
 func TestNewEnvBadScale(t *testing.T) {
-	if _, err := NewEnv(1, Scale(99)); err == nil {
+	if _, _, err := ScaleConfigs(Scale(99), 1); err == nil {
 		t.Error("unknown scale accepted")
 	}
 }

@@ -14,7 +14,7 @@ func TestFullScaleShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale run skipped in -short mode")
 	}
-	env, err := NewEnv(1, ScaleDefault)
+	env, err := newScaleEnv(1, ScaleDefault)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@
 // to sit in a processing batch. The streaming ingestion path re-batches
 // the same peer sequence at arbitrary sizes; identity-keyed sites are
 // what keep a plan's injections bit-identical across every BatchSize
-// and Workers setting — and identical between the streaming and
-// materialized Build paths.
+// and Workers setting — and identical between the streamed build and
+// the materialized batch reference its tests compare it against.
 //
 // The package is a dependency leaf (stdlib only) so every ingestion
 // package — p2p, geodb, bgp, pipeline, parallel consumers — can import

@@ -58,9 +58,39 @@ func DefaultOptions() Options {
 	return Options{BandwidthKm: 40}
 }
 
+// MaxBandwidthKm is the largest kernel bandwidth the estimator — and
+// every surface built on it: the footprint endpoints' ?bw=, the CLIs'
+// bandwidth flags — accepts. The KDE grid covers at most an AS's sample
+// bounding box, so a kernel wider than a continent only burns CPU
+// blurring a flat surface; 5000 km comfortably covers every bandwidth
+// the paper sweeps (40–100 km) and every plausible re-query (cf. the
+// multi-scale experiments) while rejecting the +Inf/1e9 class of inputs
+// that would size a degenerate grid or stall the peak→city search.
+const MaxBandwidthKm = 5000
+
+// BandwidthError reports a kernel bandwidth outside the finite envelope
+// (0, MaxBandwidthKm]; detect it with errors.As.
+type BandwidthError struct {
+	Km float64 // the rejected bandwidth
+}
+
+// Error names the rejected value and the envelope.
+func (e *BandwidthError) Error() string {
+	return fmt.Sprintf("kde: bandwidth %v km outside (0, %d]", e.Km, MaxBandwidthKm)
+}
+
+// CheckBandwidth returns a *BandwidthError unless km lies in
+// (0, MaxBandwidthKm]. NaN and ±Inf fail both comparisons.
+func CheckBandwidth(km float64) error {
+	if km > 0 && km <= MaxBandwidthKm {
+		return nil
+	}
+	return &BandwidthError{Km: km}
+}
+
 func (o Options) withDefaults() (Options, error) {
-	if o.BandwidthKm <= 0 {
-		return o, fmt.Errorf("kde: bandwidth must be positive, got %v", o.BandwidthKm)
+	if err := CheckBandwidth(o.BandwidthKm); err != nil {
+		return o, err
 	}
 	if o.CellKm <= 0 {
 		o.CellKm = o.BandwidthKm / 4

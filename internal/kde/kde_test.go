@@ -2,6 +2,7 @@ package kde
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,32 @@ func TestEstimateErrors(t *testing.T) {
 	big := []geo.XY{{X: 0, Y: 0}, {X: 1e6, Y: 1e6}}
 	if _, err := Estimate(context.Background(), big, Options{BandwidthKm: 1, MaxCells: 1000}); err == nil {
 		t.Error("oversized domain should error")
+	}
+}
+
+// TestBandwidthEnvelope: every bandwidth outside the finite
+// (0, MaxBandwidthKm] envelope fails with a *BandwidthError before any
+// grid is sized — NaN and +Inf would size a degenerate grid, and 1e9 a
+// tiny one whose peak→city search stalls.
+func TestBandwidthEnvelope(t *testing.T) {
+	pts := []geo.XY{{X: 0, Y: 0}, {X: 10, Y: 5}}
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 5000.0001, 1e9} {
+		err := CheckBandwidth(bw)
+		var be *BandwidthError
+		if !errors.As(err, &be) || !(be.Km == bw || math.IsNaN(bw)) {
+			t.Errorf("CheckBandwidth(%v) = %v, want a *BandwidthError carrying the value", bw, err)
+		}
+		if _, err := Estimate(context.Background(), pts, Options{BandwidthKm: bw}); !errors.As(err, &be) {
+			t.Errorf("Estimate(bw=%v) = %v, want a *BandwidthError", bw, err)
+		}
+	}
+	for _, bw := range []float64{0.001, 40, MaxBandwidthKm} {
+		if err := CheckBandwidth(bw); err != nil {
+			t.Errorf("CheckBandwidth(%v) = %v, want nil", bw, err)
+		}
+	}
+	if _, err := Estimate(context.Background(), pts, Options{BandwidthKm: MaxBandwidthKm}); err != nil {
+		t.Errorf("Estimate at the envelope's edge: %v", err)
 	}
 }
 

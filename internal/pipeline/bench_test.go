@@ -12,8 +12,8 @@ import (
 	"eyeballas/internal/p2p"
 )
 
-// benchEnv holds everything Build consumes, built once: the world, a
-// crawl, both geolocation databases, and a merged origin table.
+// benchEnv holds everything BuildStream consumes, built once: the world,
+// a crawl, both geolocation databases, and a merged origin table.
 type benchEnv struct {
 	crawl    *p2p.Crawl
 	dbA, dbB *geodb.DB
@@ -63,7 +63,7 @@ func benchBuild(b *testing.B, reg *obs.Registry) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(context.Background(), env.crawl, env.dbA, env.dbB, env.origins, cfg); err != nil {
+		if _, err := BuildStream(context.Background(), p2p.SlicePeers(env.crawl.Peers), env.dbA, env.dbB, env.origins, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -83,7 +83,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // trieOrigins adapts an OriginTable to its uncompiled reference path, so
-// Build can be run against the mutable radix trie.
+// BuildStream can be run against the mutable radix trie.
 type trieOrigins struct{ ot *bgp.OriginTable }
 
 func (r trieOrigins) OriginOf(a ipnet.Addr) (astopo.ASN, bool) {
@@ -91,7 +91,7 @@ func (r trieOrigins) OriginOf(a ipnet.Addr) (astopo.ASN, bool) {
 }
 
 // TestBuildCompiledMatchesTriePath is the compiled-LPM half of the
-// determinism guarantee: running the full Build stage with origin
+// determinism guarantee: running the full BuildStream stage with origin
 // lookups served by the compiled flat table must produce a dataset
 // bit-identical to one served by the mutable radix trie — the compilation
 // wiring changes performance only, never output.
@@ -116,11 +116,11 @@ func TestBuildCompiledMatchesTriePath(t *testing.T) {
 	origins := bgp.NewOriginTable(ribs...)
 	dbA, dbB := geodb.NewGeoCity(w), geodb.NewIPLoc(w)
 
-	compiled, err := Build(context.Background(), crawl, dbA, dbB, origins, DefaultConfig())
+	compiled, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, origins, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	trie, err := Build(context.Background(), crawl, dbA, dbB, trieOrigins{origins}, DefaultConfig())
+	trie, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, trieOrigins{origins}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

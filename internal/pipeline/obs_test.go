@@ -115,7 +115,8 @@ func buildOrigins(t *testing.T, w *astopo.World) *bgp.OriginTable {
 
 // TestBuildPropagatesResolverError is the satellite fix for the
 // discarded parallel.Blocks error: a failing origin lookup must abort
-// Build with the lookup's error, under both serial and parallel workers.
+// BuildStream with the lookup's error, under both serial and parallel
+// workers.
 func TestBuildPropagatesResolverError(t *testing.T) {
 	w, _, crawl := setup(t)
 	origins := buildOrigins(t, w)
@@ -130,10 +131,10 @@ func TestBuildPropagatesResolverError(t *testing.T) {
 		if workers == 1 {
 			failAt = 10
 		}
-		_, err := Build(context.Background(), crawl, dbA, dbB, &failingResolver{inner: origins, failAt: failAt},
+		_, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, &failingResolver{inner: origins, failAt: failAt},
 			Config{MaxGeoErrKm: 100, MaxP90GeoErrKm: 80, MinPeers: 60, Workers: workers})
 		if err == nil {
-			t.Fatalf("workers=%d: Build swallowed the resolver error", workers)
+			t.Fatalf("workers=%d: BuildStream swallowed the resolver error", workers)
 		}
 		if !strings.Contains(err.Error(), "injected resolver failure") {
 			t.Fatalf("workers=%d: wrong error: %v", workers, err)
@@ -149,11 +150,11 @@ func TestCheckedResolverMatchesPlainPath(t *testing.T) {
 	origins := buildOrigins(t, w)
 	dbA, dbB := geodb.NewGeoCity(w), geodb.NewIPLoc(w)
 
-	plain, err := Build(context.Background(), crawl, dbA, dbB, struct{ bgp.Resolver }{origins}, DefaultConfig())
+	plain, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, struct{ bgp.Resolver }{origins}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := Build(context.Background(), crawl, dbA, dbB, infallibleChecked{origins}, DefaultConfig())
+	checked, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, infallibleChecked{origins}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,6 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geodb"
-	"eyeballas/internal/ipnet"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/p2p"
 	"eyeballas/internal/parallel"
@@ -110,7 +109,7 @@ type Config struct {
 	// trigger.
 	SingleDBFallback bool
 	// Faults is the deterministic fault-injection plan (nil = none).
-	// Build wraps the databases and the origin resolver with the
+	// BuildStream wraps the databases and the origin resolver with the
 	// plan's injectors and arms the worker-panic injection; Run
 	// additionally passes the plan to the crawl. A nil plan — or one
 	// whose rates are all zero — yields a bit-identical dataset to no
@@ -308,274 +307,6 @@ type passCounts struct {
 	missA, missB                          int
 }
 
-func tally(results []located) passCounts {
-	var c passCounts
-	for i := range results {
-		switch results[i].drop {
-		case dropNoCity:
-			c.noCity++
-		case dropGarbage:
-			c.garbage++
-		case dropHighGeoErr:
-			c.highGeoErr++
-		case dropUnmappedIP:
-			c.unmapped++
-		}
-		if results[i].missA {
-			c.missA++
-		}
-		if results[i].missB {
-			c.missB++
-		}
-	}
-	return c
-}
-
-// Build runs steps 2–4 of the methodology over a finished crawl.
-// Geolocation and origin lookups are pure per-peer functions, so they run
-// on all CPUs; aggregation preserves crawl order, keeping the result
-// byte-identical to a sequential run.
-//
-// Since the streaming refactor, Build is a thin wrapper over
-// BuildStream on an in-memory stream of the crawl's peers — one
-// ingestion engine serves both shapes, and the differential harness in
-// stream_diff_test.go proves it bit-identical to the frozen batch
-// reference (buildBatch) for every batch size, worker count, and fault
-// plan.
-//
-// origins is any bgp.Resolver; Run passes a *bgp.OriginTable, whose
-// lookups are served from the compiled flat LPM form. The interface keeps
-// the trie reference path substitutable for differential testing. If
-// origins additionally implements bgp.CheckedResolver, the checked path
-// is used and a lookup error aborts the build (propagated out of the
-// worker pool with lowest-index-wins semantics).
-//
-// ctx cancels the build at worker-pool block boundaries (nil means
-// context.Background()). On any failure — cancellation, lookup error,
-// blown budget, worker panic — the returned dataset is nil.
-func Build(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origins bgp.Resolver, cfg Config) (*Dataset, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	var peers []p2p.Peer
-	if crawl != nil {
-		peers = crawl.Peers
-	}
-	return BuildStream(ctx, p2p.SlicePeers(peers), dbA, dbB, origins, cfg)
-}
-
-// buildBatch is the pre-streaming Build implementation, kept verbatim
-// as the frozen reference for the differential test harness: it
-// materializes the full []located verdict slice (O(crawled peers)
-// memory) and aggregates afterwards. Production callers go through
-// Build/BuildStream; only tests should call this.
-func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origins bgp.Resolver, cfg Config) (*Dataset, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := cfg.Obs.StartSpan("pipeline.build")
-	defer span.End()
-
-	// Fault wiring: wrap the databases and the resolver with the plan's
-	// injectors, and arm the worker-panic injection. All of these are
-	// identity operations under a nil (or all-zero) plan.
-	dbA = dbA.WithFaults(cfg.Faults, faults.GeoMissA)
-	if dbB != nil {
-		dbB = dbB.WithFaults(cfg.Faults, faults.GeoMissB)
-	}
-	origins = bgp.WithFaults(origins, cfg.Faults)
-	wp := cfg.Faults.Injector(faults.WorkerPanic)
-
-	// The funnel is built unconditionally: Dataset.Drops and the CLI
-	// summary are views over it. Registering it on a nil registry is a
-	// no-op.
-	funnel := obs.NewFunnel("pipeline")
-	cfg.Obs.RegisterFunnel(funnel)
-	stGeo := funnel.Stage("geolocate").DeclareReasons("no_city", "garbage_coord", "high_geo_err")
-	stOrigin := funnel.Stage("origin").DeclareReasons("unmapped_ip")
-	stDedup := funnel.Stage("dedup").DeclareReasons("dup_ip")
-	stCond := funnel.Stage("condition").DeclareReasons("small_as", "high_err_as")
-
-	ds := &Dataset{
-		ASes:         make(map[astopo.ASN]*ASRecord),
-		CrawledPeers: len(crawl.Peers),
-		Funnel:       funnel,
-	}
-
-	// Optional checked path: detected once, outside the hot loop.
-	checked, _ := origins.(bgp.CheckedResolver)
-	// Shard-aggregated lookup counter: each work block accumulates a
-	// plain local count and flushes one atomic add, so the ~6 ns
-	// compiled OriginOf stays instruction-identical (see
-	// bgp.NewOriginTableObs). Nil when metrics are disabled — Add on a
-	// nil counter is a branch-only no-op.
-	lookupsC := cfg.Obs.Counter("eyeball_bgp_origin_lookups_total")
-
-	secondary := dbB
-	if cfg.SingleDB {
-		secondary = nil
-		ds.Degraded = true
-		ds.DegradedReason = "single-db mode requested (no cross-database error estimates)"
-	}
-	locSpan := span.Child("locate")
-	results, err := runLocate(ctx, crawl, dbA, secondary, origins, checked, cfg, wp, lookupsC)
-	locSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	counts := tally(results)
-	n := len(crawl.Peers)
-
-	// Geolocate-stage error budget. The failure fraction is the share
-	// of crawled peers lost to missing or corrupt records — high_geo_err
-	// drops are not counted, because large cross-database disagreement
-	// is dirty data the method is designed for, not an ingestion
-	// failure. When exactly one database is individually over budget
-	// and the fallback is enabled, rerun with the survivor.
-	if cfg.MaxGeoMissFrac > 0 && secondary != nil && n > 0 {
-		missFrac := float64(counts.noCity+counts.garbage) / float64(n)
-		if missFrac > cfg.MaxGeoMissFrac {
-			fracA := float64(counts.missA) / float64(n)
-			fracB := float64(counts.missB) / float64(n)
-			blameA := fracA > cfg.MaxGeoMissFrac
-			blameB := fracB > cfg.MaxGeoMissFrac
-			if !cfg.SingleDBFallback || blameA == blameB {
-				return nil, &BudgetError{
-					Stage: "geolocate",
-					Reason: fmt.Sprintf("%.4f of %d crawled peers lost to missing/corrupt geolocation records (%s miss frac %.4f, %s miss frac %.4f)",
-						missFrac, n, dbA.Name, fracA, dbB.Name, fracB),
-					Frac:   missFrac,
-					Budget: cfg.MaxGeoMissFrac,
-				}
-			}
-			survivor, survivorMiss := dbA, fracA
-			lostDB, lostFrac := dbB, fracB
-			if blameA {
-				survivor, survivorMiss = dbB, fracB
-				lostDB, lostFrac = dbA, fracA
-			}
-			_ = survivorMiss
-			fbSpan := span.Child("locate_single_db_fallback")
-			results, err = runLocate(ctx, crawl, survivor, nil, origins, checked, cfg, wp, lookupsC)
-			fbSpan.End()
-			if err != nil {
-				return nil, err
-			}
-			counts = tally(results)
-			ds.Degraded = true
-			ds.DegradedReason = fmt.Sprintf(
-				"single-db fallback: %s miss fraction %.4f exceeded budget %.4f; rebuilt from %s only (no cross-database error estimates)",
-				lostDB.Name, lostFrac, cfg.MaxGeoMissFrac, survivor.Name)
-			if cfg.Obs != nil {
-				cfg.Obs.Counter("eyeball_pipeline_degraded_builds_total", "reason", "single_db_fallback").Inc()
-			}
-		}
-	}
-
-	// Origin-stage error budget: unmapped peers as a fraction of the
-	// peers that survived geolocation.
-	geoOut := n - counts.noCity - counts.garbage - counts.highGeoErr
-	if cfg.MaxOriginMissFrac > 0 && geoOut > 0 {
-		missFrac := float64(counts.unmapped) / float64(geoOut)
-		if missFrac > cfg.MaxOriginMissFrac {
-			return nil, &BudgetError{
-				Stage: "origin",
-				Reason: fmt.Sprintf("%.4f of %d geolocated peers matched no BGP prefix",
-					missFrac, geoOut),
-				Frac:   missFrac,
-				Budget: cfg.MaxOriginMissFrac,
-			}
-		}
-	}
-
-	aggSpan := span.Child("aggregate")
-	seenIP := make(map[ipnet.Addr]astopo.ASN, len(crawl.Peers))
-	var dup int
-	for i, peer := range crawl.Peers {
-		r := results[i]
-		if r.drop != dropNone {
-			continue
-		}
-		rec := ds.ASes[r.asn]
-		if rec == nil {
-			rec = &ASRecord{ASN: r.asn, PeersByApp: make(map[p2p.App]int)}
-			ds.ASes[r.asn] = rec
-		}
-		if _, isDup := seenIP[peer.IP]; isDup {
-			// Unique-IP semantics (§2: "89.1 million unique IP
-			// addresses"): the sample is stored once but still counts in
-			// this app's column.
-			rec.PeersByApp[peer.App]++
-			dup++
-			continue
-		}
-		seenIP[peer.IP] = r.asn
-		rec.PeersByApp[peer.App]++
-		rec.Samples = append(rec.Samples, r.sample)
-	}
-	aggSpan.End()
-
-	// Flush the peer-level funnel stages once per reason (the loops
-	// above used plain locals — no per-peer atomics) and derive the
-	// fixed-shape Drops view from the same counts.
-	stGeo.In(n)
-	stGeo.Drop("no_city", counts.noCity)
-	stGeo.Drop("garbage_coord", counts.garbage)
-	stGeo.Drop("high_geo_err", counts.highGeoErr)
-	stGeo.Out(geoOut)
-	stOrigin.In(geoOut)
-	stOrigin.Drop("unmapped_ip", counts.unmapped)
-	originOut := geoOut - counts.unmapped
-	stOrigin.Out(originOut)
-	stDedup.In(originOut)
-	stDedup.Drop("dup_ip", dup)
-	stDedup.Out(originOut - dup)
-	ds.Drops.NoCityRecord = counts.noCity
-	ds.Drops.GarbageCoord = counts.garbage
-	ds.Drops.HighGeoErr = counts.highGeoErr
-	ds.Drops.UnmappedIP = counts.unmapped
-	ds.Drops.DupIP = dup
-
-	condSpan := span.Child("condition")
-	out, err := condition(ctx, ds, cfg, stCond, nil)
-	condSpan.End()
-	return out, err
-}
-
-// runLocate fans the pure per-peer stage out over the worker pool.
-// secondary == nil selects the single-database path (no cross-database
-// error estimate). wp, when non-nil, is the armed worker-panic
-// injection: it panics at hit peers, which the pool converts into a
-// *parallel.PanicError with the captured stack.
-func runLocate(ctx context.Context, crawl *p2p.Crawl, primary, secondary *geodb.DB, origins bgp.Resolver, checked bgp.CheckedResolver, cfg Config, wp *faults.Injector, lookupsC *obs.Counter) ([]located, error) {
-	results := make([]located, len(crawl.Peers))
-	err := parallel.Blocks(ctx, cfg.Workers, len(crawl.Peers), 0, func(lo, hi int) error {
-		var lookups int64
-		for i := lo; i < hi; i++ {
-			if wp.Hit(uint64(crawl.Peers[i].IP)) {
-				panic(fmt.Sprintf("faults: injected worker panic at peer %s", crawl.Peers[i].IP))
-			}
-			r, err := locateOne(crawl.Peers[i], primary, secondary, origins, checked, cfg)
-			if err != nil {
-				return err
-			}
-			if r.drop == dropNone || r.drop == dropUnmappedIP {
-				lookups++ // an origin lookup was actually performed
-			}
-			results[i] = r
-		}
-		lookupsC.Add(lookups)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // badCoord reports whether a coordinate pair is corrupt: NaN or outside
 // the valid latitude/longitude ranges. Such records come from broken
 // database rows (see faults.GeoGarbage / faults.GeoNaN) and must never
@@ -769,66 +500,61 @@ func condition(ctx context.Context, ds *Dataset, cfg Config, stCond *obs.Stage, 
 	return ds, nil
 }
 
-// Run executes the entire methodology from a world: crawl, build the BGP
-// origin tables from three vantage tier-1s, and condition the dataset.
-// It is the one-call entry point used by the examples and experiments.
+// Run executes the entire methodology from a world: build the BGP
+// origin tables from three vantage tier-1s, then crawl, geolocate,
+// group and condition in one streamed pass — the crawl is generated
+// unit by unit and fed straight into BuildStream, so peak memory is
+// bounded by kept users, not crawl size. It also returns the compiled
+// origin table the build resolved peers against, so a snapshot writer
+// can ship the exact LPM the dataset was conditioned with.
 //
 // ctx cancels the run between crawl units, at RIB-construction
 // boundaries, and at the build's block boundaries (nil means
 // context.Background()). cfg.Faults, when set, is injected into the
 // crawl as well as the build, so one plan drives every ingestion
 // boundary.
-func Run(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *p2p.Crawl, error) {
-	ds, crawl, _, err := RunExport(ctx, w, crawlCfg, cfg, crawlSeed)
-	return ds, crawl, err
-}
-
-// RunExport is Run plus the compiled origin table the build resolved
-// peers against — the export hook the snapshot writer uses, so the
-// serving artifact carries the exact LPM the dataset was conditioned
-// with instead of a re-derived one.
-func RunExport(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *p2p.Crawl, *bgp.OriginTable, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := cfg.Obs.StartSpan("pipeline.run")
-	defer span.End()
-	// When ctx carries a request trace, nest the whole run (and, via
-	// the rebound context, the build's stage spans) under it.
-	tRun := trace.FromContext(ctx).Child("pipeline.run")
-	defer tRun.End()
-	if tRun != nil {
-		ctx = trace.NewContext(ctx, tRun)
-	}
+func Run(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *bgp.OriginTable, error) {
 	if crawlCfg.Obs == nil {
 		crawlCfg.Obs = cfg.Obs
 	}
 	if crawlCfg.Faults == nil {
 		crawlCfg.Faults = cfg.Faults
 	}
-	tCrawl := tRun.Child("crawl")
-	crawl, err := p2p.Run(ctx, w, crawlCfg, seedSource(crawlSeed))
-	tCrawl.End()
-	if err != nil {
-		return nil, nil, nil, err
+	return runSource(ctx, w, CrawlSource(w, crawlCfg, crawlSeed), cfg)
+}
+
+// runSource is the shared body of Run and BuildFromSource: origin
+// tables from the world, then BuildStream over src. When ctx carries a
+// request trace, the run nests under a "pipeline.run" span with
+// "bgp.origin_table" and "pipeline.build" children.
+func runSource(ctx context.Context, w *astopo.World, src p2p.PeerSource, cfg Config) (*Dataset, *bgp.OriginTable, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	span := cfg.Obs.StartSpan("pipeline.run")
+	defer span.End()
+	tRun := trace.FromContext(ctx).Child("pipeline.run")
+	defer tRun.End()
+	if tRun != nil {
+		ctx = trace.NewContext(ctx, tRun)
 	}
 	tOrigin := tRun.Child("bgp.origin_table")
 	origins, err := originTable(ctx, w, cfg, span)
 	tOrigin.End()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	ds, err := Build(ctx, crawl, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
+	ds, err := BuildStream(ctx, src, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return ds, crawl, origins, nil
+	return ds, origins, nil
 }
 
 // originTable computes policy routing and builds the origin table from
-// the world's three tier-1 vantage RIBs — the shared back half of Run
-// and RunStream. Per-vantage RIB construction is independent; fan it
-// out, keeping the vantage order (and thus the origin table) fixed.
+// the world's three tier-1 vantage RIBs. Per-vantage RIB construction
+// is independent; fan it out, keeping the vantage order (and thus the
+// origin table) fixed.
 func originTable(ctx context.Context, w *astopo.World, cfg Config, span *obs.Span) (*bgp.OriginTable, error) {
 	routingSpan := span.Child("bgp.routing")
 	routing := bgp.ComputeRouting(w)

@@ -26,7 +26,13 @@ var sharedSetup = sync.OnceValues(func() (*sharedEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, crawl, err := Run(context.Background(), w, p2p.DefaultConfig(), DefaultConfig(), 71)
+	ds, _, err := Run(context.Background(), w, p2p.DefaultConfig(), DefaultConfig(), 71)
+	if err != nil {
+		return nil, err
+	}
+	// The materialized form of the same crawl, for tests that slice it
+	// or feed it to the batch reference.
+	crawl, err := p2p.Run(context.Background(), w, p2p.DefaultConfig(), seedSource(71))
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +187,7 @@ func TestConfigValidation(t *testing.T) {
 		{MaxGeoErrKm: 100, MaxP90GeoErrKm: 0, MinPeers: 10},
 		{MaxGeoErrKm: 100, MaxP90GeoErrKm: 80, MinPeers: 0},
 	} {
-		if _, err := Build(context.Background(), crawl, nil, nil, nil, cfg); err == nil {
+		if _, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), nil, nil, nil, cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // BuildStream runs steps 2–4 of the methodology over a peer stream —
-// the bounded-memory ingestion engine behind Build.
+// the bounded-memory ingestion engine behind Run and BuildFromSource.
 //
 // Peers are consumed in fixed-size batches (cfg.BatchSize) through the
 // worker pool: per-batch locate verdicts are index-addressed, then
@@ -207,9 +207,9 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 }
 
 // streamPass drives one full locate pass over a freshly opened stream,
-// folding every batch into agg. It is the streaming analogue of
-// runLocate + the aggregation loop, fused so no crawl-sized state ever
-// exists.
+// folding every batch into agg. It is the streaming analogue of the
+// batch reference's locate and aggregation loops, fused so no
+// crawl-sized state ever exists.
 func streamPass(ctx context.Context, src p2p.PeerSource, primary, secondary *geodb.DB, origins bgp.Resolver, checked bgp.CheckedResolver, cfg Config, wp *faults.Injector, lookupsC *obs.Counter, agg *streamAgg) error {
 	st, err := src.Stream(ctx)
 	if err != nil {
@@ -374,8 +374,8 @@ func (g *streamAgg) finish(ds *Dataset, cfg Config) {
 	}
 }
 
-// CrawlSource returns the generative peer source Run and RunStream
-// consume for (w, crawlCfg, crawlSeed) — exposed so callers can export
+// CrawlSource returns the generative peer source Run consumes for
+// (w, crawlCfg, crawlSeed) — exposed so callers can export
 // (p2p.WritePeers) or re-ingest the exact crawl sequence of a seed.
 func CrawlSource(w *astopo.World, crawlCfg p2p.Config, crawlSeed uint64) p2p.PeerSource {
 	return p2p.NewCrawlSource(w, crawlCfg, seedSource(crawlSeed))
@@ -386,52 +386,6 @@ func CrawlSource(w *astopo.World, crawlCfg p2p.Config, crawlSeed uint64) p2p.Pee
 // the world — the streaming entry point for pre-crawled (e.g.
 // file-backed) peers. The peers must come from the same world.
 func BuildFromSource(ctx context.Context, w *astopo.World, src p2p.PeerSource, cfg Config) (*Dataset, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := cfg.Obs.StartSpan("pipeline.run")
-	defer span.End()
-	origins, err := originTable(ctx, w, cfg, span)
-	if err != nil {
-		return nil, err
-	}
-	return BuildStream(ctx, src, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
-}
-
-// RunStream is Run's streaming counterpart: crawl, origin tables, and
-// conditioning with the crawl generated unit by unit and fed straight
-// into BuildStream — no *p2p.Crawl is ever materialized, so the run's
-// peak memory is bounded by kept users, not crawl size. The dataset is
-// bit-identical to Run's for the same inputs (Run itself drains the
-// same generative source).
-func RunStream(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, error) {
-	ds, _, err := RunStreamExport(ctx, w, crawlCfg, cfg, crawlSeed)
+	ds, _, err := runSource(ctx, w, src, cfg)
 	return ds, err
-}
-
-// RunStreamExport is RunStream plus the compiled origin table the build
-// resolved peers against — the streaming counterpart of RunExport, used
-// by the snapshot writer.
-func RunStreamExport(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *bgp.OriginTable, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := cfg.Obs.StartSpan("pipeline.run")
-	defer span.End()
-	if crawlCfg.Obs == nil {
-		crawlCfg.Obs = cfg.Obs
-	}
-	if crawlCfg.Faults == nil {
-		crawlCfg.Faults = cfg.Faults
-	}
-	origins, err := originTable(ctx, w, cfg, span)
-	if err != nil {
-		return nil, nil, err
-	}
-	src := p2p.NewCrawlSource(w, crawlCfg, seedSource(crawlSeed))
-	ds, err := BuildStream(ctx, src, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, origins, nil
 }

@@ -57,7 +57,7 @@ func dupHeavyCrawl(crawl *p2p.Crawl) *p2p.Crawl {
 
 // TestStreamDiffMatrix is the tentpole's acceptance test: for clean and
 // 5%-faulted builds, over the plain crawl and a duplicate-heavy one,
-// Build (→ BuildStream) must be bit-identical to the frozen batch
+// BuildStream must be bit-identical to the frozen batch
 // reference for batch sizes {1, 7, 1024, >crawl} × workers {1, 8} —
 // dataset, drop fingerprints, and funnel counters alike.
 func TestStreamDiffMatrix(t *testing.T) {
@@ -68,7 +68,7 @@ func TestStreamDiffMatrix(t *testing.T) {
 	// A 20k-peer prefix keeps the degenerate batch=1 sweeps fast; every
 	// differential property (drops, dedup, app counting, conditioning)
 	// is exercised identically, and the full crawl is covered by the
-	// RunStream and fallback tests.
+	// Run and fallback tests.
 	baseCrawl := fullCrawl
 	if len(baseCrawl.Peers) > 20000 {
 		baseCrawl = &p2p.Crawl{Peers: fullCrawl.Peers[:20000]}
@@ -114,7 +114,7 @@ func TestStreamDiffMatrix(t *testing.T) {
 					cfg := refCfg
 					cfg.Workers = workers
 					cfg.BatchSize = batch
-					got, err := Build(context.Background(), cr.crawl, dbA, dbB, origins, cfg)
+					got, err := BuildStream(context.Background(), p2p.SlicePeers(cr.crawl.Peers), dbA, dbB, origins, cfg)
 					if err != nil {
 						t.Fatalf("%s batch=%d workers=%d: %v", label, batch, workers, err)
 					}
@@ -172,7 +172,7 @@ func TestStreamDiffSingleDBFallback(t *testing.T) {
 		scfg := cfg
 		scfg.BatchSize = batch
 		scfg.Workers = 8
-		got, err := Build(context.Background(), crawl, dbA, dbB, origins, scfg)
+		got, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, origins, scfg)
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
@@ -198,7 +198,7 @@ func TestStreamDiffSingleDBMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.BatchSize = 7
-	got, err := Build(context.Background(), crawl, dbA, dbB, origins, cfg)
+	got, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, origins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +208,9 @@ func TestStreamDiffSingleDBMode(t *testing.T) {
 
 // TestRunStreamMatchesRun: the generative end-to-end path — crawl
 // streamed unit by unit into BuildStream, no *p2p.Crawl ever built —
-// must be bit-identical to Run for clean and fully-faulted plans, for
-// every worker count and batch size.
+// must be bit-identical to the frozen batch reference run over the
+// materialized crawl of the same seed and Run's own origin table, for
+// clean and fully-faulted plans, for every worker count and batch size.
 func TestRunStreamMatchesRun(t *testing.T) {
 	w, _, _ := setup(t)
 
@@ -225,23 +226,32 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	for _, plan := range []*faults.Plan{nil, full} {
 		cfg := DefaultConfig()
 		cfg.Faults = plan
-		ref, _, err := Run(context.Background(), w, p2p.DefaultConfig(), cfg, 71)
+		crawlCfg := p2p.DefaultConfig()
+		crawlCfg.Faults = plan
+		crawl, err := p2p.Run(context.Background(), w, crawlCfg, seedSource(71))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var ref *Dataset
 		for _, batch := range []int{0, 4096} {
 			for _, workers := range []int{1, 8} {
 				scfg := cfg
 				scfg.Workers = workers
 				scfg.BatchSize = batch
-				got, err := RunStream(context.Background(), w, p2p.DefaultConfig(), scfg, 71)
+				got, origins, err := Run(context.Background(), w, p2p.DefaultConfig(), scfg, 71)
 				if err != nil {
 					t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)
 				}
+				if ref == nil {
+					ref, err = buildBatch(context.Background(), crawl, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
 				assertDatasetsIdentical(t, ref, got)
-				assertFunnelsIdentical(t, "run-stream", ref, got)
-				if got.CrawledPeers != ref.CrawledPeers {
-					t.Fatalf("CrawledPeers %d != Run's %d", got.CrawledPeers, ref.CrawledPeers)
+				assertFunnelsIdentical(t, "run", ref, got)
+				if got.CrawledPeers != len(crawl.Peers) {
+					t.Fatalf("CrawledPeers %d != materialized crawl's %d", got.CrawledPeers, len(crawl.Peers))
 				}
 			}
 		}
@@ -262,7 +272,7 @@ func TestRunStreamFunnelConservationWithDups(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = plan
 	cfg.BatchSize = 512 // small enough that duplicates straddle batches
-	ds, err := RunStream(context.Background(), w, p2p.DefaultConfig(), cfg, 71)
+	ds, _, err := Run(context.Background(), w, p2p.DefaultConfig(), cfg, 71)
 	if err != nil {
 		t.Fatal(err)
 	}

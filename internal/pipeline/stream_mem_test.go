@@ -22,7 +22,7 @@ func TestStreamStatsAccounting(t *testing.T) {
 	origins := buildOrigins(t, w)
 	cfg := DefaultConfig()
 	cfg.BatchSize = 1024
-	ds, err := Build(context.Background(), crawl, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
+	ds, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCappedModeLargeCapIsExact(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxSamplesPerAS = 1 << 20
 	cfg.BatchSize = 777
-	got, err := Build(context.Background(), crawl, dbA, dbB, origins, cfg)
+	got, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, origins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCappedModeBoundedAndDeterministic(t *testing.T) {
 		cfg.MaxSamplesPerAS = capN
 		cfg.BatchSize = batch
 		cfg.Workers = workers
-		ds, err := Build(context.Background(), crawl, dbA, dbB, origins, cfg)
+		ds, err := BuildStream(context.Background(), p2p.SlicePeers(crawl.Peers), dbA, dbB, origins, cfg)
 		if err != nil {
 			t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)
 		}
@@ -191,7 +191,7 @@ func benchStream(b *testing.B, batch bool) {
 		if batch {
 			ds, err = buildBatch(context.Background(), env.crawl, env.dbA, env.dbB, env.origins, cfg)
 		} else {
-			ds, err = Build(context.Background(), env.crawl, env.dbA, env.dbB, env.origins, cfg)
+			ds, err = BuildStream(context.Background(), p2p.SlicePeers(env.crawl.Peers), env.dbA, env.dbB, env.origins, cfg)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -23,7 +23,7 @@ func traceCrawl(t *testing.T) (*p2p.Crawl, *Dataset, func(context.Context) (*Dat
 	origins := buildOrigins(t, w)
 	dbA, dbB := geodb.NewGeoCity(w), geodb.NewIPLoc(w)
 	build := func(ctx context.Context) (*Dataset, error) {
-		return Build(ctx, crawl, dbA, dbB, origins, DefaultConfig())
+		return BuildStream(ctx, p2p.SlicePeers(crawl.Peers), dbA, dbB, origins, DefaultConfig())
 	}
 	ref, err := build(context.Background())
 	if err != nil {
@@ -86,10 +86,9 @@ func attrValue(t *testing.T, n obs.TreeNode, key string) string {
 	return ""
 }
 
-// TestBuildStreamTraceMatchesBatchShape: the streaming entry point hangs
-// the same stage spans as Build (which routes through it), and a build
-// with no trace in the context produces a bit-identical dataset — the
-// nil-span fast path cannot influence results.
+// TestBuildUntracedIdentical: a build with no trace in the context
+// produces a bit-identical dataset — the nil-span fast path cannot
+// influence results.
 func TestBuildUntracedIdentical(t *testing.T) {
 	_, ref, build := traceCrawl(t)
 	ds, err := build(context.Background())

@@ -76,6 +76,7 @@ import (
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/ipnet"
+	"eyeballas/internal/kde"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/pipeline"
 	"eyeballas/internal/snapshot"
@@ -710,27 +711,18 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// MaxBandwidthKm is the largest ?bw= the footprint endpoints accept.
-// The KDE grid covers at most an AS's sample bounding box, so a kernel
-// wider than a continent only burns CPU blurring a flat surface; 5000
-// km comfortably covers every bandwidth the paper sweeps (40–100 km)
-// and every plausible re-query (cf. the multi-scale experiments) while
-// rejecting the +Inf/1e300 class of inputs that previously slipped
-// through the v > 0 check. internal/client mirrors this bound.
-const MaxBandwidthKm = 5000
-
 // parseBW validates a ?bw= query value: it must parse as a float and
-// land in (0, MaxBandwidthKm]. NaN and ±Inf fail both comparisons —
-// the old !(v > 0) guard let +Inf through to the KDE. Returns the
-// bandwidth to use (the server default when the parameter is absent)
-// and ok=false after writing the 400 when the value is invalid.
+// pass kde.CheckBandwidth, the finite (0, kde.MaxBandwidthKm] envelope.
+// Returns the bandwidth to use (the server default when the parameter
+// is absent) and ok=false after writing the 400 when the value is
+// invalid.
 func (s *Server) parseBW(w http.ResponseWriter, raw string) (float64, bool) {
 	if raw == "" {
 		return s.opts.BandwidthKm, true
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || !(v > 0) || !(v <= MaxBandwidthKm) {
-		writeError(w, http.StatusBadRequest, "bad bandwidth %q (want 0 < bw <= %d km)", raw, MaxBandwidthKm)
+	if err != nil || kde.CheckBandwidth(v) != nil {
+		writeError(w, http.StatusBadRequest, "bad bandwidth %q (want 0 < bw <= %d km)", raw, kde.MaxBandwidthKm)
 		return 0, false
 	}
 	return v, true

@@ -449,7 +449,7 @@ func TestLRUCacheBounds(t *testing.T) {
 // TestBandwidthValidation is the regression table for the ?bw= guard:
 // the old `!(v > 0)` check rejected only NaN and non-positives, so
 // +Inf (and absurd-but-finite values like 1e300) reached the KDE. The
-// envelope is now finite and (0, MaxBandwidthKm]; both footprint
+// envelope is now finite and (0, kde.MaxBandwidthKm]; both footprint
 // endpoints share it.
 func TestBandwidthValidation(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{})

@@ -304,9 +304,9 @@ func TestRoundTripPipelineDataset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	ds, _, origins, err := pipeline.RunExport(nil, w, p2p.DefaultConfig(), pipeline.DefaultConfig(), 7)
+	ds, origins, err := pipeline.Run(nil, w, p2p.DefaultConfig(), pipeline.DefaultConfig(), 7)
 	if err != nil {
-		t.Fatalf("RunExport: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	snap := &Snapshot{Meta: Meta{Seed: 7, Label: "pipeline"}, Dataset: ds, Origins: origins}
 	got, err := Decode(Encode(snap))
