@@ -1,6 +1,8 @@
 // Command eyeballexp regenerates every table and figure of the paper's
 // evaluation over a synthetic world and prints them; with -out it also
-// writes per-experiment text and CSV files.
+// writes per-experiment text and CSV files, plus a MANIFEST: the command
+// that regenerates them, then one "sha256  file" line per artifact
+// (sha256sum -c format).
 //
 // Usage:
 //
@@ -15,6 +17,7 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -22,12 +25,15 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 
 	"eyeballas"
 	"eyeballas/internal/faults"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/trace"
 )
 
 func main() {
@@ -68,6 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer obsFlags.Finish(stdout, stderr)
+	ctx, _ = trace.StartCLI(ctx, obsFlags, "eyeballexp.run", *seed, false)
 
 	// A world loaded with -world is conditioned at the default
 	// thresholds, whatever its size.
@@ -92,9 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		w, err = eyeball.LoadWorld(f)
 		f.Close()
 	} else {
-		genSpan := reg.StartSpan("experiments.generate_world")
 		w, err = eyeball.GenerateWorldWithConfig(wcfg)
-		genSpan.End()
 	}
 	if err != nil {
 		return err
@@ -111,6 +116,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	want := func(name string) bool { return *expSel == "all" || *expSel == name }
 	var emitErr error
+	manifest := ""
+	write := func(file, body string) {
+		if emitErr == nil {
+			emitErr = os.WriteFile(filepath.Join(*outDir, file), []byte(body), 0o644)
+			manifest += fmt.Sprintf("%x  %s\n", sha256.Sum256([]byte(body)), file)
+		}
+	}
 	emit := func(name, text, csv string) {
 		fmt.Fprintln(stdout, text)
 		if *outDir == "" {
@@ -120,14 +132,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			emitErr = err
 			return
 		}
-		if err := os.WriteFile(filepath.Join(*outDir, name+".txt"), []byte(text), 0o644); err != nil {
-			emitErr = err
-			return
-		}
+		write(name+".txt", text)
 		if csv != "" {
-			if err := os.WriteFile(filepath.Join(*outDir, name+".csv"), []byte(csv), 0o644); err != nil {
-				emitErr = err
-			}
+			write(name+".csv", csv)
 		}
 	}
 
@@ -264,7 +271,33 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return emitErr
 	}
 	if *outDir != "" {
+		body := "# " + manifestCommand(fs, *seed, *outDir) + "\n" + manifest
+		if err := os.WriteFile(filepath.Join(*outDir, "MANIFEST"), []byte(body), 0o644); err != nil {
+			return err
+		}
 		fmt.Fprintf(stdout, "artifacts written to %s\n", *outDir)
 	}
 	return obsFlags.Finish(stdout, stderr)
+}
+
+// manifestCommand renders the command line that regenerates -out's
+// artifacts: -seed, then every other flag given that shapes the output,
+// then -out naming the directory by its base name (MANIFEST lives in
+// that directory).
+func manifestCommand(fs *flag.FlagSet, seed uint64, outDir string) string {
+	cmd := []string{"eyeballexp", "-seed", strconv.FormatUint(seed, 10)}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "seed", "out", "batch", "metrics", "trace", "pprof":
+			return
+		}
+		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+			if f.Value.String() == "true" {
+				cmd = append(cmd, "-"+f.Name)
+			}
+			return
+		}
+		cmd = append(cmd, "-"+f.Name, f.Value.String())
+	})
+	return strings.Join(append(cmd, "-out", filepath.Base(outDir)), " ")
 }

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -44,6 +46,27 @@ func TestRunAllWritesArtifacts(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "artifacts written") {
 		t.Error("no confirmation line")
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(manifest), "\n"), "\n")
+	if want := "# eyeballexp -seed 5 -small -out " + filepath.Base(dir); lines[0] != want {
+		t.Errorf("MANIFEST command = %q, want %q", lines[0], want)
+	}
+	if len(lines) != 20 {
+		t.Errorf("MANIFEST lists %d artifacts, want 19:\n%s", len(lines)-1, manifest)
+	}
+	for _, line := range lines[1:] {
+		sum, name, _ := strings.Cut(line, "  ")
+		body, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(body)); got != sum {
+			t.Errorf("MANIFEST line %q: file hashes to %s", line, got)
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/trace"
 )
 
 func main() {
@@ -70,18 +71,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer obsFlags.Finish(stdout, stderr)
+	ctx, _ = trace.StartCLI(ctx, obsFlags, "eyeballgen.run", *seed, false)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
 	var w *eyeball.World
-	genSpan := reg.StartSpan("eyeballgen.generate")
 	if *small {
 		w, err = eyeball.GenerateSmallWorld(*seed)
 	} else {
 		w, err = eyeball.GenerateWorld(*seed)
 	}
-	genSpan.End()
 	if err != nil {
 		return err
 	}

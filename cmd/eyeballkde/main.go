@@ -32,6 +32,7 @@ import (
 	"eyeballas/internal/kde"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/trace"
 )
 
 func main() {
@@ -73,6 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer obsFlags.Finish(stdout, stderr)
+	ctx, _ = trace.StartCLI(ctx, obsFlags, "eyeballkde.run", *seed, false)
 
 	bandwidths, err := parseBandwidths(*bwList)
 	if err != nil {
@@ -87,9 +89,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	genSpan := reg.StartSpan("experiments.generate_world")
 	w, err := eyeball.GenerateWorldWithConfig(wcfg)
-	genSpan.End()
 	if err != nil {
 		return err
 	}

@@ -137,21 +137,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg.SingleDBFallback = *singleDBFallback
 	cfg.BatchSize = *batch
 	cfg.MaxSamplesPerAS = *sampleCap
-	// -trace-out wraps the whole build in one request-style trace: the
-	// pipeline's stage spans pick up trace parentage from the context,
-	// so an offline build emits the same trace shape a served request
-	// does. IDs derive from -seed, making the trace's identity — though
-	// not its timings — reproducible.
-	var troot *trace.Span
+	// -trace and -trace-out share one root wrapping the build: the
+	// pipeline's stage spans hang under it from the context. IDs derive
+	// from -seed, making the trace's identity — though not its timings —
+	// reproducible. The root covers the build only; -footprint below
+	// renders with the untraced ctx.
+	buildCtx, troot := trace.StartCLI(ctx, obsFlags, "eyeballpipe.build", *seed, *traceOut != "")
+	ds, origins, err := eyeball.BuildTargetDataset(buildCtx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
+	troot.End()
 	if *traceOut != "" {
-		tracer := trace.New(trace.Options{Seed: *seed})
-		troot = tracer.Start("eyeballpipe.build")
-		troot.SetInt("seed", int64(*seed))
-		ctx = trace.NewContext(ctx, troot)
-	}
-	ds, origins, err := eyeball.BuildTargetDataset(ctx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
-	if troot != nil {
-		troot.End()
 		f, ferr := os.Create(*traceOut)
 		if ferr != nil {
 			return ferr

@@ -98,3 +98,85 @@ func TestTraceOut(t *testing.T) {
 		t.Errorf("span counts differ across runs: %d vs %d", d.Spans, d2.Spans)
 	}
 }
+
+// preorder lists a trace tree's span names, parents before children.
+func preorder(n traceNode, out []string) []string {
+	out = append(out, n.Name)
+	for _, c := range n.Children {
+		out = preorder(c, out)
+	}
+	return out
+}
+
+// textTreeNames parses the span names, in print order, out of the
+// -trace tree on stderr: the lines from the root's through the
+// dropped-span line. Each line is indentation, the name, padding, the
+// duration, and optional [k=v ...] attributes.
+func textTreeNames(t *testing.T, stderr, root string) []string {
+	t.Helper()
+	var names []string
+	in := false
+	for _, line := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(line, root+" ") {
+			in = true
+		}
+		if !in {
+			continue
+		}
+		if strings.HasPrefix(line, "dropped spans: ") {
+			return names
+		}
+		if strings.HasSuffix(line, "]") {
+			line = line[:strings.LastIndex(line, " [")]
+		}
+		line = strings.TrimSpace(line)
+		names = append(names, strings.TrimSpace(line[:strings.LastIndex(line, " ")]))
+	}
+	t.Fatalf("no complete -trace tree rooted at %s on stderr:\n%s", root, stderr)
+	return nil
+}
+
+// TestTraceOneTree: -trace prints one rooted tree, and it is the tree
+// -trace-out writes — the same span names in the same pre-order — at
+// every worker count and on every run.
+func TestTraceOneTree(t *testing.T) {
+	var first []string
+	for i, workers := range []string{"1", "1", "2", "2"} {
+		out := filepath.Join(t.TempDir(), "f.json")
+		var stderr bytes.Buffer
+		if err := run(context.Background(),
+			[]string{"-small", "-seed", "42", "-quiet", "-workers", workers, "-trace", "-trace-out", out},
+			io.Discard, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d traceDetail
+		if err := json.Unmarshal(raw, &d); err != nil {
+			t.Fatal(err)
+		}
+		text := textTreeNames(t, stderr.String(), d.Root.Name)
+		fromJSON := preorder(d.Root, nil)
+		if strings.Join(text, "|") != strings.Join(fromJSON, "|") {
+			t.Fatalf("run %d (-workers %s): -trace names %q differ from -trace-out names %q", i, workers, text, fromJSON)
+		}
+		if first == nil {
+			first = text
+			for _, want := range []string{"pipeline.run", "bgp.origin_table", "bgp.routing", "bgp.ribs",
+				"pipeline.build", "locate", "p2p.crawl", "aggregate", "condition"} {
+				if !strings.Contains("|"+strings.Join(text, "|")+"|", "|"+want+"|") {
+					t.Fatalf("-trace tree lacks %s: %q", want, text)
+				}
+			}
+			if n := strings.Count(strings.Join(text, "|"), "bgp.build_rib "); n != 3 {
+				t.Fatalf("-trace tree has %d bgp.build_rib spans, want 3: %q", n, text)
+			}
+			continue
+		}
+		if strings.Join(text, "|") != strings.Join(first, "|") {
+			t.Fatalf("run %d (-workers %s): span order %q differs from the first run's %q", i, workers, text, first)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"eyeballas/internal/pipeline"
 	"eyeballas/internal/refdata"
 	"eyeballas/internal/rng"
+	"eyeballas/internal/trace"
 	"eyeballas/internal/traceroute"
 )
 
@@ -87,17 +88,17 @@ func (e *Env) ctx() context.Context {
 // the observability registry (Obs), the fault plan (Faults) and the
 // ingestion knobs. ctx is stored on the environment, so every worker
 // pool, crawl and pipeline rebuild the experiments launch observes it
-// (nil means context.Background()).
+// (nil means context.Background()). Under a traced ctx the build hangs
+// an "experiments.env" span with one child per step.
 func NewEnv(ctx context.Context, w *astopo.World, seed uint64, pipeCfg pipeline.Config) (*Env, error) {
-	reg := pipeCfg.Obs
-	span := reg.StartSpan("experiments.env")
-	defer span.End()
 	env := &Env{Seed: seed, World: w, PipeCfg: pipeCfg, Ctx: ctx}
+	span := trace.FromContext(env.ctx()).Child("experiments.env")
+	defer span.End()
 	routingSpan := span.Child("routing")
 	env.Routing = bgp.ComputeRouting(w)
 	routingSpan.End()
 	var err error
-	env.Dataset, _, err = pipeline.Run(env.ctx(), w, p2p.DefaultConfig(), pipeCfg, seed)
+	env.Dataset, _, err = pipeline.Run(trace.NewContext(env.ctx(), span), w, p2p.DefaultConfig(), pipeCfg, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -90,7 +90,7 @@ func TestEstimateDeterministicFineGrid(t *testing.T) {
 
 // TestEstimateDeterministicUnderRegistry extends the bit-identity
 // guarantee to an active observability registry (with the pool's timing
-// hooks installed): spans/counters/histograms are timing side channels
+// hooks installed): counters/histograms are timing side channels
 // and must not perturb a single bit of the density surface, at any
 // worker count.
 func TestEstimateDeterministicUnderRegistry(t *testing.T) {

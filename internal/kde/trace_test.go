@@ -153,3 +153,44 @@ func TestEstimateOutputIdenticalTraced(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsJSONBoundedWithoutTrace: with a live registry and no span
+// in the context, an estimate leaves only metrics behind, so the JSON
+// snapshot (what /metrics.json serves) does not grow with the number of
+// estimates — only a few counter digits move — and still records every
+// estimate in eyeball_kde_estimate_seconds.
+func TestMetricsJSONBoundedWithoutTrace(t *testing.T) {
+	reg := obs.New()
+	opts := DefaultOptions()
+	opts.Workers = 1
+	opts.Obs = reg
+	estimate := func(n int) int {
+		for i := 0; i < n; i++ {
+			if _, err := Estimate(context.Background(), traceSamples(), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		if err := reg.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(b.String(), `"spans"`) {
+			t.Fatalf("metrics JSON carries spans:\n%s", b.String())
+		}
+		return b.Len()
+	}
+	first := estimate(1)
+	after := estimate(199)
+	if after-first > 128 {
+		t.Fatalf("metrics JSON grew %d B over 199 more estimates (%d -> %d)", after-first, first, after)
+	}
+	var count int64
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == "eyeball_kde_estimate_seconds" {
+			count = h.Total
+		}
+	}
+	if count != 200 {
+		t.Fatalf("eyeball_kde_estimate_seconds count = %d, want 200", count)
+	}
+}

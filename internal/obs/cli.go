@@ -15,7 +15,7 @@ import (
 //	-metrics <path|->   write a metrics snapshot at exit (.prom selects
 //	                    Prometheus text, anything else JSON; '-' writes
 //	                    JSON to stdout)
-//	-trace              print the span tree to stderr at exit
+//	-trace              print the run's span tree to stderr at exit
 //	-pprof <addr>       serve /metrics, /metrics.json and /debug/pprof/
 //	                    for the duration of the run (use :0 for an
 //	                    ephemeral port; the bound address is logged)
@@ -23,16 +23,28 @@ import (
 // Usage: BindCLIFlags(fs) before fs.Parse; after parsing, Registry()
 // returns the run's registry (nil when no flag was given, keeping the
 // disabled fast path), Start() brings up the -pprof server, and
-// Finish() writes the snapshot/trace and shuts the server down.
+// Finish() writes the snapshot/trace and shuts the server down. The
+// span tree -trace prints is the run's TraceRoot (trace.StartCLI opens
+// it and hands it over).
 type CLIFlags struct {
 	metricsPath string
 	trace       bool
 	pprofAddr   string
 
 	reg  *Registry
+	root TraceRoot
 	srv  *http.Server
 	addr string
 	done bool
+}
+
+// TraceRoot is the root span of a CLI run: internal/trace's *Span,
+// named here by the methods Finish needs because obs cannot import
+// trace.
+type TraceRoot interface {
+	End()
+	Tree() TreeNode
+	DroppedSpans() int
 }
 
 // BindCLIFlags registers -metrics, -trace, and -pprof on fs.
@@ -41,7 +53,7 @@ func BindCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	fs.StringVar(&c.metricsPath, "metrics", "",
 		"write a metrics snapshot at exit: a path ending in .prom for Prometheus text exposition, any other path for JSON, '-' for JSON on stdout")
 	fs.BoolVar(&c.trace, "trace", false,
-		"print the span tree (per-stage wall-clock timings) to stderr at exit")
+		"print the run's span tree (per-stage wall-clock timings) to stderr at exit")
 	fs.StringVar(&c.pprofAddr, "pprof", "",
 		"serve GET /metrics, /metrics.json and /debug/pprof/ on this address (e.g. :6060, or :0 for an ephemeral port) during the run")
 	return c
@@ -51,6 +63,12 @@ func BindCLIFlags(fs *flag.FlagSet) *CLIFlags {
 func (c *CLIFlags) Enabled() bool {
 	return c != nil && (c.metricsPath != "" || c.trace || c.pprofAddr != "")
 }
+
+// Tracing reports whether -trace was given.
+func (c *CLIFlags) Tracing() bool { return c != nil && c.trace }
+
+// SetTraceRoot hands Finish the run's root span for -trace.
+func (c *CLIFlags) SetTraceRoot(root TraceRoot) { c.root = root }
 
 // Registry returns the run's registry, creating it on first call.
 // Returns nil when no observability flag was given, so instrumented
@@ -91,8 +109,9 @@ func (c *CLIFlags) ServerAddr() string {
 }
 
 // Finish writes the -metrics snapshot and the -trace tree, then shuts
-// the -pprof server down. stdout receives '-' snapshots; the trace goes
-// to stderr.
+// the -pprof server down. stdout receives '-' snapshots; the trace — the
+// ended root's tree, then a line with its dropped-span count — goes to
+// stderr.
 //
 // Finish is idempotent: the first call does the work, later calls are
 // no-ops. CLIs exploit this by deferring Finish right after Start —
@@ -108,12 +127,16 @@ func (c *CLIFlags) Finish(stdout, stderr io.Writer) error {
 		_ = c.srv.Close()
 		c.srv = nil
 	}
-	reg := c.Registry()
-	if c.trace {
-		if err := reg.WriteTrace(stderr); err != nil {
+	if c.trace && c.root != nil {
+		c.root.End()
+		if err := WriteTree(stderr, []TreeNode{c.root.Tree()}); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(stderr, "dropped spans: %d\n", c.root.DroppedSpans()); err != nil {
 			return err
 		}
 	}
+	reg := c.Registry()
 	if c.metricsPath == "" {
 		return nil
 	}

@@ -96,16 +96,53 @@ func TestCLIFlagsMetricsStdout(t *testing.T) {
 	}
 }
 
+// stubRoot is a TraceRoot over a fixed tree, recording whether Finish
+// ended it.
+type stubRoot struct {
+	tree    TreeNode
+	dropped int
+	ended   bool
+}
+
+func (s *stubRoot) End()              { s.ended = true }
+func (s *stubRoot) Tree() TreeNode    { return s.tree }
+func (s *stubRoot) DroppedSpans() int { return s.dropped }
+
+// TestCLIFlagsTrace: under -trace, Finish ends the run's root and prints
+// exactly the shared encoder's rendering of its tree, then the
+// dropped-span count. Without -trace the root is neither ended nor
+// printed.
 func TestCLIFlagsTrace(t *testing.T) {
 	c := parseFlags(t, "-trace")
-	reg := c.Registry()
-	reg.StartSpan("cli.test").End()
-	var stderr bytes.Buffer
+	if !c.Tracing() {
+		t.Fatal("-trace given but Tracing() is false")
+	}
+	root := &stubRoot{tree: fixtureTree()[0], dropped: 3}
+	c.SetTraceRoot(root)
+	var stderr, want bytes.Buffer
 	if err := c.Finish(io.Discard, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stderr.String(), "cli.test") {
-		t.Fatalf("-trace output missing span:\n%s", stderr.String())
+	if !root.ended {
+		t.Fatal("Finish did not end the trace root")
+	}
+	if err := WriteTree(&want, []TreeNode{root.tree}); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteString("dropped spans: 3\n")
+	if stderr.String() != want.String() {
+		t.Fatalf("-trace output:\n%s\nwant:\n%s", stderr.String(), want.String())
+	}
+
+	quiet := parseFlags(t, "-metrics", filepath.Join(t.TempDir(), "m.json"))
+	root = &stubRoot{tree: fixtureTree()[0]}
+	quiet.SetTraceRoot(root)
+	stderr.Reset()
+	if err := quiet.Finish(io.Discard, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if quiet.Tracing() || root.ended || stderr.Len() != 0 {
+		t.Fatalf("no -trace: Tracing=%v ended=%v stderr=%q", quiet.Tracing(), root.ended, stderr.String())
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// TreeNode is the neutral span-tree node both trace producers in the
-// repository render through: the batch CLIs' obs.Span forest (-trace)
-// and internal/trace's request-scoped traces (the flight recorder and
-// /debug/trace/{id}). Factoring the encoding here means the text and
-// JSON forms of a span tree are defined exactly once — a tree renders
-// to the same bytes no matter which subsystem produced it.
+// TreeNode is the neutral span-tree node every internal/trace span tree
+// renders through: a CLI run's root (-trace, eyeballpipe -trace-out) and
+// the serve path's request traces (the flight recorder and
+// /debug/trace/{id}). obs owns the encoding because trace imports obs,
+// not the reverse; the text and JSON forms of a span tree are defined
+// exactly once.
 //
 // Both encoders are deterministic: fields encode in declaration order,
 // attributes and events in recorded order, children in the order the
@@ -106,18 +106,12 @@ func writeTreeNode(w io.Writer, n *TreeNode, depth int) error {
 	return nil
 }
 
-// WriteTreeJSON renders a span forest as deterministic, indented JSON —
-// the encoding /debug/trace/{id}, the flight recorder, and eyeballpipe
-// -trace-out all share. Arrays keep producer order and structs encode
-// in field-declaration order, so equal trees are equal bytes.
-func WriteTreeJSON(w io.Writer, roots []TreeNode) error {
-	return EncodeJSON(w, roots)
-}
-
 // EncodeJSON writes v in the repository's canonical JSON form: indented
 // two spaces, trailing newline, map keys sorted by encoding/json. Every
-// trace/debug JSON producer funnels through here so their formatting
-// can never drift apart.
+// trace/debug JSON producer — /debug/trace/{id}, the flight recorder,
+// eyeballpipe -trace-out — funnels through here so their formatting can
+// never drift apart. Arrays keep producer order and structs encode in
+// field-declaration order, so equal span trees are equal bytes.
 func EncodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

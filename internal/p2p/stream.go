@@ -12,8 +12,8 @@ import (
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/geo"
 	"eyeballas/internal/ipnet"
-	"eyeballas/internal/obs"
 	"eyeballas/internal/rng"
+	"eyeballas/internal/trace"
 )
 
 // PeerStream is a pull iterator over crawled peers, the ingestion shape
@@ -74,9 +74,9 @@ func (s *sliceStream) Next(buf []Peer) (int, error) {
 // purely from src's seed (never from consumed state), so a second
 // Stream call re-generates the identical sequence. Fault injection
 // (cfg.Faults) keys every decision by peer identity, so it is equally
-// schedule- and batch-independent. Obs counters and the "p2p.crawl"
-// span are emitted per stream — a fallback rerun shows up as a second
-// crawl span, which is what actually happened.
+// schedule- and batch-independent. Obs counters and, under a traced
+// ctx, the "p2p.crawl" span are emitted per stream — a fallback rerun
+// shows up as a second crawl span, which is what actually happened.
 func NewCrawlSource(w *astopo.World, cfg Config, src *rng.Source) PeerSource {
 	return &crawlSource{w: w, cfg: cfg, src: src}
 }
@@ -99,7 +99,7 @@ func (c *crawlSource) Stream(ctx context.Context) (PeerStream, error) {
 		ases: c.w.ASes(),
 		cs:   newCrawlState(c.w, c.cfg),
 		src:  c.src,
-		span: c.cfg.Obs.StartSpan("p2p.crawl"),
+		span: trace.FromContext(ctx).Child("p2p.crawl"),
 	}, nil
 }
 
@@ -108,7 +108,7 @@ type crawlStream struct {
 	ases []*astopo.AS
 	cs   *crawlState
 	src  *rng.Source
-	span *obs.Span
+	span *trace.Span
 
 	ai, appi int    // cursor over (AS, app) units, app-major within AS
 	pending  []Peer // current unit's undelivered peers

@@ -51,8 +51,6 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	span := cfg.Obs.StartSpan("pipeline.build")
-	defer span.End()
 
 	// Fault wiring: wrap the databases and the resolver with the plan's
 	// injectors, and arm the worker-panic injection. All of these are
@@ -95,9 +93,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		ds.Degraded = true
 		ds.DegradedReason = "single-db mode requested (no cross-database error estimates)"
 	}
-	locSpan := span.Child("locate")
 	results, err := runLocate(ctx, crawl, dbA, secondary, origins, checked, cfg, wp, lookupsC)
-	locSpan.End()
 	if err != nil {
 		return nil, err
 	}
@@ -133,9 +129,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 				lostDB, lostFrac = dbA, fracA
 			}
 			_ = survivorMiss
-			fbSpan := span.Child("locate_single_db_fallback")
 			results, err = runLocate(ctx, crawl, survivor, nil, origins, checked, cfg, wp, lookupsC)
-			fbSpan.End()
 			if err != nil {
 				return nil, err
 			}
@@ -166,7 +160,6 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		}
 	}
 
-	aggSpan := span.Child("aggregate")
 	seenIP := make(map[ipnet.Addr]astopo.ASN, len(crawl.Peers))
 	var dup int
 	for i, peer := range crawl.Peers {
@@ -191,7 +184,6 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		rec.PeersByApp[peer.App]++
 		rec.Samples = append(rec.Samples, r.sample)
 	}
-	aggSpan.End()
 
 	// Flush the peer-level funnel stages once per reason (the loops
 	// above used plain locals — no per-peer atomics) and derive the
@@ -214,9 +206,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 	ds.Drops.UnmappedIP = counts.unmapped
 	ds.Drops.DupIP = dup
 
-	condSpan := span.Child("condition")
 	out, err := condition(ctx, ds, cfg, stCond, nil)
-	condSpan.End()
 	return out, err
 }
 

@@ -72,7 +72,7 @@ func benchBuild(b *testing.B, reg *obs.Registry) {
 // BenchmarkBuildObsOff / BenchmarkBuildObsOn are the acceptance pair for
 // the observability overhead budget: the full geolocate → origin → dedup
 // → condition stage chain with no registry vs. a live one (funnel,
-// spans, histograms, shard-aggregated lookup counter all armed). The
+// histograms, shard-aggregated lookup counter all armed). The
 // ratio on/off is the end-to-end instrumentation overhead and must stay
 // ≤3% (see scripts/bench_obs.sh, which computes it into BENCH_pr3.json).
 func BenchmarkBuildObsOff(b *testing.B) { benchBuild(b, nil) }

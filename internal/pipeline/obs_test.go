@@ -15,6 +15,7 @@ import (
 	"eyeballas/internal/obs"
 	"eyeballas/internal/p2p"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/trace"
 )
 
 // TestFunnelInvariant is the conservation satellite: every crawled peer
@@ -194,16 +195,18 @@ func TestDatasetIdenticalWithRegistry(t *testing.T) {
 // TestRegistryExposesPipelineMetrics checks the wiring end to end: one
 // instrumented Run must populate the crawl counters, the
 // shard-aggregated origin-lookup counter, the per-AS P90 histogram, the
-// funnel families, and the span tree.
+// funnel families, and — under a traced context — the span tree.
 func TestRegistryExposesPipelineMetrics(t *testing.T) {
 	w, _, crawl := setup(t)
 	reg := obs.New()
 	cfg := DefaultConfig()
 	cfg.Obs = reg
-	ds, _, err := Run(context.Background(), w, p2p.DefaultConfig(), cfg, 71)
+	root := trace.New(trace.Options{Seed: 71}).Start("test.run")
+	ds, _, err := Run(trace.NewContext(context.Background(), root), w, p2p.DefaultConfig(), cfg, 71)
 	if err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 
 	// Shard-aggregated origin lookups: one per peer surviving geolocation.
 	wantLookups := int64(len(crawl.Peers) - ds.Drops.NoCityRecord - ds.Drops.HighGeoErr)
@@ -238,13 +241,13 @@ func TestRegistryExposesPipelineMetrics(t *testing.T) {
 	}
 
 	// The span tree must include the pipeline stages.
-	var trace bytes.Buffer
-	if err := reg.WriteTrace(&trace); err != nil {
+	var tree bytes.Buffer
+	if err := obs.WriteTree(&tree, []obs.TreeNode{root.Tree()}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"pipeline.run", "pipeline.build", "locate", "aggregate", "condition", "p2p.crawl", "bgp.origin_table"} {
-		if !strings.Contains(trace.String(), want) {
-			t.Fatalf("trace missing span %q:\n%s", want, trace.String())
+		if !strings.Contains(tree.String(), want) {
+			t.Fatalf("trace missing span %q:\n%s", want, tree.String())
 		}
 	}
 

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/bgp"
@@ -525,22 +526,16 @@ func Run(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, 
 
 // runSource is the shared body of Run and BuildFromSource: origin
 // tables from the world, then BuildStream over src. When ctx carries a
-// request trace, the run nests under a "pipeline.run" span with
+// span, the run nests under it as "pipeline.run" with
 // "bgp.origin_table" and "pipeline.build" children.
 func runSource(ctx context.Context, w *astopo.World, src p2p.PeerSource, cfg Config) (*Dataset, *bgp.OriginTable, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	span := cfg.Obs.StartSpan("pipeline.run")
+	span := trace.FromContext(ctx).Child("pipeline.run")
 	defer span.End()
-	tRun := trace.FromContext(ctx).Child("pipeline.run")
-	defer tRun.End()
-	if tRun != nil {
-		ctx = trace.NewContext(ctx, tRun)
-	}
-	tOrigin := tRun.Child("bgp.origin_table")
-	origins, err := originTable(ctx, w, cfg, span)
-	tOrigin.End()
+	ctx = trace.NewContext(ctx, span)
+	origins, err := originTable(ctx, w, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -554,9 +549,14 @@ func runSource(ctx context.Context, w *astopo.World, src p2p.PeerSource, cfg Con
 // originTable computes policy routing and builds the origin table from
 // the world's three tier-1 vantage RIBs. Per-vantage RIB construction
 // is independent; fan it out, keeping the vantage order (and thus the
-// origin table) fixed.
-func originTable(ctx context.Context, w *astopo.World, cfg Config, span *obs.Span) (*bgp.OriginTable, error) {
-	routingSpan := span.Child("bgp.routing")
+// origin table) fixed. Under a traced ctx it opens "bgp.origin_table"
+// with "bgp.routing" and "bgp.ribs" children, one "bgp.build_rib <asn>"
+// per vantage under the latter; ChildSeq keys every sibling by its
+// position, so the tree does not depend on which worker ran first.
+func originTable(ctx context.Context, w *astopo.World, cfg Config) (*bgp.OriginTable, error) {
+	span := trace.FromContext(ctx).Child("bgp.origin_table")
+	defer span.End()
+	routingSpan := span.ChildSeq("bgp.routing", 0)
 	routing := bgp.ComputeRouting(w)
 	routingSpan.End()
 	var vantages []astopo.ASN
@@ -573,9 +573,11 @@ func originTable(ctx context.Context, w *astopo.World, cfg Config, span *obs.Spa
 		return nil, fmt.Errorf("pipeline: world has no tier-1 vantage points")
 	}
 	ribs := make([]*bgp.RIB, len(vantages))
-	ribSpan := span.Child("bgp.ribs")
+	ribSpan := span.ChildSeq("bgp.ribs", 1)
 	if err := parallel.ForEach(ctx, cfg.Workers, vantages, func(i int, vantage astopo.ASN) error {
+		vs := ribSpan.ChildSeq("bgp.build_rib "+strconv.Itoa(int(vantage)), i)
 		rib, err := bgp.BuildRIBObs(w, routing, vantage, cfg.Obs)
+		vs.End()
 		if err != nil {
 			return err
 		}

@@ -3,8 +3,8 @@
 # BENCH_pr3.json: the full pipeline Build stage with the registry off vs
 # on (the ≤3% acceptance budget), the ~6ns compiled origin lookup bare vs
 # under the pipeline's shard-aggregated counting pattern, a KDE estimate
-# with live spans/counters, and the raw primitive costs (atomic counter,
-# histogram observe, span start/end) in both enabled and disabled
+# with live metrics, and the raw primitive costs (atomic counter,
+# histogram observe, trace span start/end) in both enabled and disabled
 # (nil-receiver, branch-only) states. Run single-core so the numbers
 # isolate the scalar hot paths.
 #
@@ -29,8 +29,11 @@ GOMAXPROCS=1 go test -run '^$' \
   -bench 'EstimateObs$' \
   -benchtime "$benchtime" ./internal/kde/ | tee -a "$tmp"
 GOMAXPROCS=1 go test -run '^$' \
-  -bench 'CounterInc|HistogramObserve|SpanStartEnd' \
+  -bench 'CounterInc|HistogramObserve' \
   -benchtime "$benchtime" ./internal/obs/ | tee -a "$tmp"
+GOMAXPROCS=1 go test -run '^$' \
+  -bench 'SpanStartEnd' \
+  -benchtime "$benchtime" ./internal/trace/ | tee -a "$tmp"
 
 awk '
   /^Benchmark/ {
